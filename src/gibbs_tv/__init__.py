@@ -31,14 +31,7 @@ from .exact import (
     count_via_tv_queries,
 )
 from .sampling import Sampler, SamplerConfig, active_kernel, sample, sample_marginal
-from .counting import (
-    CounterConfig,
-    RatioEstimate,
-    approx_count,
-    conditional_count,
-    empirical_second_moment,
-    ratio_estimate,
-)
+from .counting import CounterConfig, approx_count, conditional_count
 from .estimators import (
     BigSmallPartition,
     EstimateReport,
@@ -65,7 +58,6 @@ __all__ = [
     "EstimateReport",
     "EstimatorBudget",
     "MetaConditionParams",
-    "RatioEstimate",
     "RunRecord",
     "TruncatedConditional",
     "additive_tv",
@@ -75,7 +67,6 @@ __all__ = [
     "conditional_count",
     "dispatch_tv",
     "emit_instance",
-    "empirical_second_moment",
     "eta_truncation_bound",
     "f_hat",
     "instance_hash",
@@ -84,7 +75,6 @@ __all__ = [
     "meta_condition_params",
     "parse_instance",
     "partition_big_small",
-    "ratio_estimate",
     "tilde_ratio_R",
     "truncated_conditional",
     "Graph",

@@ -35,7 +35,7 @@ def _default_threads() -> int:
         return 1
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
     parser.add_argument("--threads", type=int, default=_default_threads(),
                         help="worker threads (default $GIBBS_TV_THREADS or 1)")
@@ -71,19 +71,21 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="annealing draws per level before the 1/eps^2 scale")
     parser.add_argument("--boost-repeats", type=int, default=9,
                         help="median-of-k repeats inside the counting oracle")
+    _json_flag(parser)
+
+
+def _json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _budget(args) -> EstimatorBudget:
     sampler = SamplerConfig(
         mixing_multiplier=args.c_mix,
-        seed=args.seed,
         exact_fallback_cap=args.exact_sampler_cap,
     )
     counter = CounterConfig(
         levels_multiplier=args.c_levels,
         samples_per_level=args.samples_per_level,
-        seed=args.seed,
         boost_repeats=args.boost_repeats,
         exact_fallback_cap=args.exact_counter_cap,
     )
@@ -108,17 +110,7 @@ def _budget(args) -> EstimatorBudget:
 
 def _record(report: EstimateReport, mu, nu, budget: EstimatorBudget) -> RunRecord:
     return RunRecord(
-        estimate=report.estimate,
-        error_kind=report.error_kind,
-        branch=report.branch,
-        epsilon=report.epsilon,
-        d_par=report.d_par,
-        theta=report.theta,
-        b=report.b,
-        c_tv_par=report.c_tv_par,
-        samples_used=report.samples_used,
-        counter_calls=report.counter_calls,
-        elapsed=report.elapsed,
+        **dataclasses.asdict(report),
         mu_hash=instance_hash(mu),
         nu_hash=instance_hash(nu) if nu is not None else None,
         seed=budget.seed,
@@ -293,19 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tv", help="estimate the TV distance between two instances")
     p.add_argument("mu")
     p.add_argument("nu")
-    _common_flags(p)
+    _estimator_flags(p)
     p.set_defaults(func=cmd_tv)
 
     p = sub.add_parser("marginal-tv", help="additive TV estimate on a vertex subset")
     p.add_argument("mu")
     p.add_argument("nu")
     p.add_argument("--subset", required=True, help="comma list of vertex labels")
-    _common_flags(p)
+    _estimator_flags(p)
     p.set_defaults(func=cmd_marginal_tv)
 
     p = sub.add_parser("count", help="approximate the partition function")
     p.add_argument("instance")
-    _common_flags(p)
+    _estimator_flags(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sample", help="draw configurations")
@@ -313,25 +305,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--pin", default=None, help="comma list label=+1|-1")
     p.add_argument("--delta", type=float, default=0.05, help="sampling accuracy")
-    _common_flags(p)
+    _estimator_flags(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="print the regime report of one instance")
     p.add_argument("instance")
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reduce-demo",
                        help="count independent sets through exact TV queries")
     p.add_argument("instance")
-    _common_flags(p)
+    _json_flag(p)
     p.set_defaults(func=cmd_reduce_demo)
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("name", choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=50)
     p.add_argument("--out", default=None, help="write CSV rows here")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
+    _json_flag(p)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -7,34 +7,48 @@ are taken in the reverse direction, sampling at level i and averaging
 ``w_{i-1}(X)/w_i(X)``: every level then has full support over its samples
 (the base level of a hardcore path is a point mass, which would break the
 forward direction) and the per-sample ratio is bounded by 1 for hardcore.
-
-``ratio_estimate`` is the fast path for Z_nu/Z_mu between two close hardcore
-models: per-vertex geometric interpolation with O(1 + n*d_par) levels and a
-forward telescoping product whose relative second moment stays O(1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import exact
-from .errors import InputError, MustPreprocessError, OracleError
+from .errors import InfeasiblePinningError, InputError, MustPreprocessError
+from .errors import OracleError, TooLargeError
 from .models import (
     HardcoreModel,
     IsingModel,
     NEG_INF,
     Pinning,
     SpinSystem,
-    _check_pair,
     contract_pinning,
-    parameter_distance,
 )
-from .errors import InfeasiblePinningError
 from .sampling import Sampler, SamplerConfig
+
+MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
+
+
+def check_draws(formula: Callable[[], float], what: str) -> int:
+    """``ceil(formula())``, refused with TooLargeError above MAX_DRAWS.
+
+    The formula is evaluated here so that one overflowing on a tiny epsilon
+    (``OverflowError``, or ``ZeroDivisionError`` once ``epsilon**2``
+    underflows) counts as an infinite draw count rather than escaping.
+    """
+    try:
+        draws = formula()
+    except (OverflowError, ZeroDivisionError):
+        draws = math.inf
+    if not draws <= MAX_DRAWS:  # also refuses nan
+        raise TooLargeError(
+            f"{what} needs {draws:.3g} draws, above the limit of {MAX_DRAWS:.3g}"
+        )
+    return math.ceil(draws)
 
 
 @dataclass(frozen=True)
@@ -49,16 +63,12 @@ class CounterConfig:
 
     levels_multiplier: float = 4.0
     samples_per_level: float = 16.0
-    seed: Optional[int] = None
     boost_repeats: int = 9
     exact_fallback_cap: int = 0
 
     def __post_init__(self):
         if min(self.levels_multiplier, self.samples_per_level) <= 0 or self.boost_repeats < 1:
             raise InputError("counter configuration values must be positive")
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def _strip_hardcore_zeros(model: HardcoreModel) -> HardcoreModel:
@@ -98,13 +108,13 @@ def _level_model(model: SpinSystem, frac: float) -> SpinSystem:
 def _single_count(
     model: SpinSystem,
     epsilon: float,
+    draws: int,
     cfg: CounterConfig,
     rng: np.random.Generator,
     sampler_cfg: SamplerConfig,
     threads: int,
 ) -> float:
     ell = num_levels(model, cfg)
-    draws = math.ceil(cfg.samples_per_level / epsilon**2)
     delta = min(0.5, epsilon / (20.0 * ell))
     log_base = 0.0 if model.kind == "hardcore" else model.n * math.log(2.0)
     log_z = log_base
@@ -137,12 +147,13 @@ def approx_count(
     """Estimate log Z with P[(1-eps) Z <= Z_hat <= (1+eps) Z] >= 0.99.
 
     The guarantee is inherited from the sampler; hardcore zero fields are
-    stripped exactly first.  Returns the log estimate.
+    stripped exactly first.  Returns the log estimate.  Raises TooLargeError
+    before any chain step when the draws per level exceed ``MAX_DRAWS``.
     """
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
     cfg = cfg or CounterConfig()
-    rng = rng if rng is not None else cfg.make_rng()
+    rng = rng if rng is not None else np.random.default_rng()
     sampler_cfg = sampler_cfg or SamplerConfig()
     if model.kind == "ising" and not model.is_soft:
         raise MustPreprocessError("counting needs a soft Ising model; preprocess first")
@@ -152,8 +163,11 @@ def approx_count(
         return 0.0  # Z = 1 either way: empty product / 2^0
     if counts_exactly(model, cfg):
         return exact.exact_partition(model, cap=model.n)
+    draws = check_draws(
+        lambda: cfg.samples_per_level / epsilon**2, "each annealing level"
+    )
     runs = [
-        _single_count(model, epsilon, cfg, child, sampler_cfg, threads)
+        _single_count(model, epsilon, draws, cfg, child, sampler_cfg, threads)
         for child in rng.spawn(cfg.boost_repeats)
     ]
     return float(np.median(runs))
@@ -179,90 +193,3 @@ def conditional_count(
     if reduced.n == 0:
         return log_const
     return log_const + approx_count(reduced, epsilon, cfg, rng, sampler_cfg, threads)
-
-
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Result of the telescoping ratio estimator, with per-level diagnostics."""
-
-    value: float
-    levels: int
-    draws: int
-    per_level_mean: np.ndarray = field(repr=False, default=None)
-    per_level_second_moment: np.ndarray = field(repr=False, default=None)
-
-
-def ratio_estimate(
-    mu: SpinSystem,
-    nu: SpinSystem,
-    epsilon_rel: float,
-    cfg: Optional[CounterConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-    sampler_cfg: Optional[SamplerConfig] = None,
-    d_par: Optional[float] = None,
-    threads: int = 1,
-) -> RatioEstimate:
-    """Estimate Z_nu / Z_mu.
-
-    Hardcore pairs use interpolants ``lam_v * delta_v^(i/levels)`` with
-    ``delta_v = lam_nu_v / lam_mu_v`` and ``levels = ceil(c * (1 + n*d_par))``;
-    the product of per-level ratios has O(1) relative second moment.  Ising
-    pairs fall back to two independent counting calls.
-    """
-    _check_pair(mu, nu)
-    if not 0 < epsilon_rel < 1:
-        raise InputError(f"epsilon must be in (0,1), got {epsilon_rel}")
-    cfg = cfg or CounterConfig()
-    rng = rng if rng is not None else cfg.make_rng()
-    sampler_cfg = sampler_cfg or SamplerConfig()
-
-    if mu.kind == "ising":
-        lm = approx_count(mu, epsilon_rel / 3, cfg, rng, sampler_cfg, threads)
-        ln = approx_count(nu, epsilon_rel / 3, cfg, rng, sampler_cfg, threads)
-        return RatioEstimate(math.exp(ln - lm), 0, 0)
-
-    if bool(np.any((mu.lam == 0) & (nu.lam > 0))) or bool(
-        np.any((nu.lam == 0) & (mu.lam > 0))
-    ):
-        raise MustPreprocessError("zero field on one side only; preprocess first")
-    keep = [v for v in range(mu.n) if mu.lam[v] > 0]
-    if len(keep) < mu.n:
-        sub, _ = mu.graph.induced_subgraph(keep)
-        mu = HardcoreModel(sub, mu.lam[keep])
-        nu = HardcoreModel(sub, nu.lam[keep])
-    n = mu.n
-    if n == 0:
-        return RatioEstimate(1.0, 0, 0)
-    d = parameter_distance(mu, nu) if d_par is None else d_par
-    ell = max(1, math.ceil(cfg.levels_multiplier * (1.0 + n * d)))
-    draws = math.ceil(cfg.samples_per_level / epsilon_rel**2)
-    delta = min(0.5, epsilon_rel / (20.0 * ell))
-    log_delta_v = np.log(nu.lam) - np.log(mu.lam)
-
-    log_w = np.zeros(draws)
-    means = np.empty(ell)
-    second = np.empty(ell)
-    for i in range(1, ell + 1):
-        level = HardcoreModel(mu.graph, mu.lam * np.exp(log_delta_v * ((i - 1) / ell)))
-        xs = Sampler(level, cfg=sampler_cfg).sample_batch(draws, delta, rng, threads)
-        log_wi = ((xs > 0) @ log_delta_v) / ell
-        wi = np.exp(log_wi)
-        means[i - 1] = float(np.mean(wi))
-        second[i - 1] = float(np.mean(wi**2) / np.mean(wi) ** 2)
-        log_w += log_wi
-    value = float(np.mean(np.exp(log_w)))
-    return RatioEstimate(value, ell, draws, means, second)
-
-
-DEFAULT_MOMENT_THRESHOLD = 2.0
-
-
-def empirical_second_moment(
-    run: RatioEstimate, threshold: float = DEFAULT_MOMENT_THRESHOLD
-) -> tuple[np.ndarray, list[int]]:
-    """Per-level E[W_i^2]/E[W_i]^2 of a ratio run, plus levels above threshold."""
-    if run.per_level_second_moment is None:
-        raise InputError("run carries no per-level diagnostics (Ising fallback)")
-    moments = run.per_level_second_moment
-    flagged = [i for i, m in enumerate(moments) if m > threshold]
-    return moments, flagged

@@ -30,19 +30,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from . import exact
-from .counting import CounterConfig, approx_count, conditional_count, counts_exactly
-from .errors import (
-    GateError,
-    InfeasiblePinningError,
-    InputError,
-    TooLargeError,
-)
+from .counting import CounterConfig, approx_count, check_draws, counts_exactly
+from .errors import GateError, InfeasiblePinningError, InputError
 from .models import (
     NEG_INF,
     SpinSystem,
@@ -55,8 +50,6 @@ from .models import (
     tv_lower_bound_constant,
 )
 from .sampling import Sampler, SamplerConfig
-
-MAX_DRAWS = 50_000_000  # refuse sample counts beyond this without an override
 
 
 @dataclass(frozen=True)
@@ -96,6 +89,10 @@ class EstimatorBudget:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.median_repeats < 1 or self.c_T <= 0:
             raise InputError("median_repeats and c_T must be positive")
+        if self.T_override is not None and self.T_override < 1:
+            raise InputError(f"T_override must be at least 1, got {self.T_override}")
+        if self.threads < 1:
+            raise InputError(f"threads must be at least 1, got {self.threads}")
 
     def make_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -159,71 +156,77 @@ class TruncatedConditional:
 
 
 class _Runtime:
-    """Per-call bundle of budget, rng, cached samplers, and usage counters."""
+    """Per-call bundle of budget, rng, cached samplers, usage counters, and
+    the start time."""
 
     def __init__(self, budget: EstimatorBudget, rng: Optional[np.random.Generator]):
+        self.t0 = time.perf_counter()
         self.budget = budget
         self.rng = rng if rng is not None else budget.make_rng()
         self.samples_used = 0
         self.counter_calls = 0
-        self._samplers: dict[int, Sampler] = {}
-
-    def sampler(self, model: SpinSystem) -> Sampler:
-        key = id(model)
-        if key not in self._samplers:
-            self._samplers[key] = Sampler(model, None, self.budget.sampler)
-        return self._samplers[key]
+        self._samplers: dict[SpinSystem, Sampler] = {}
 
     def sample_batch(self, model: SpinSystem, count: int, delta: float) -> np.ndarray:
+        if model not in self._samplers:
+            self._samplers[model] = Sampler(model, None, self.budget.sampler)
         self.samples_used += count
-        return self.sampler(model).sample_batch(
+        return self._samplers[model].sample_batch(
             count, delta, self.rng, self.budget.threads
         )
 
-    def count(self, model: SpinSystem, eps: float) -> float:
-        """log Z-hat; infinite Ising fields are contracted first."""
-        self.counter_calls += 1
-        if model.kind == "ising" and not model.is_soft:
-            reduced, _, log_const = contract_pinning(model, None)
-            if reduced.n == 0:
-                return log_const
-            return log_const + approx_count(
-                reduced, eps, self.budget.counter, self.rng,
-                self.budget.sampler, self.budget.threads,
-            )
-        return approx_count(
-            model, eps, self.budget.counter, self.rng,
-            self.budget.sampler, self.budget.threads,
-        )
-
-    def conditional_count_boosted(
-        self, model: SpinSystem, pin: Mapping[int, int], eps: float, delta: float
+    def count(
+        self,
+        model: SpinSystem,
+        eps: float,
+        pin: Optional[Mapping[int, int]] = None,
+        delta: Optional[float] = None,
     ) -> float:
-        """Median-boosted conditional count with failure probability ~delta."""
+        """log Z^pin-hat: the median of k counts of the contracted model.
+
+        The pinning (and any infinite Ising field) is contracted once.  k is
+        1 without ``delta``, else 2 ceil(ln(1/delta)) + 1 for failure
+        probability ~delta.  Infeasible pinnings give -inf.
+        """
         try:
-            reduced, _, _ = contract_pinning(model, pin)
+            reduced, _, log_const = contract_pinning(model, pin)
         except InfeasiblePinningError:
             self.counter_calls += 1
             return NEG_INF
-        if counts_exactly(reduced, self.budget.counter):
-            repeats = 1  # deterministic answer; boosting is a no-op
+        if delta is None or counts_exactly(reduced, self.budget.counter):
+            repeats = 1  # no boosting asked, or a deterministic answer
         else:
             repeats = 2 * math.ceil(math.log(1.0 / delta)) + 1
         self.counter_calls += repeats
+        if reduced.n == 0:
+            return log_const
         vals = [
-            conditional_count(
-                model, pin, eps, self.budget.counter, self.rng,
+            log_const + approx_count(
+                reduced, eps, self.budget.counter, self.rng,
                 self.budget.sampler, self.budget.threads,
             )
             for _ in range(repeats)
         ]
         return float(np.median(vals))
 
-    def finish(self, report: EstimateReport, t0: float) -> EstimateReport:
+    def finish(self, report: EstimateReport) -> EstimateReport:
         report.samples_used = self.samples_used
         report.counter_calls = self.counter_calls
-        report.elapsed = time.perf_counter() - t0
+        report.elapsed = time.perf_counter() - self.t0
         return report
+
+
+def _draw_count(
+    budget: EstimatorBudget, formula: Callable[[], float], what: str
+) -> int:
+    """Draw count of one estimator stage, refused above ``MAX_DRAWS``.
+
+    ``T_override`` replaces the analytic ``formula`` unless ``paper_strict``
+    is set; the formula is only evaluated when it is used.
+    """
+    if budget.T_override is not None and not budget.paper_strict:
+        return check_draws(lambda: budget.T_override, what)
+    return check_draws(formula, f"{what} (set T_override to run at desk scale)")
 
 
 def _ratio_hat(
@@ -258,17 +261,8 @@ def additive_tv(
     _check_pair(mu, nu)
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
-    t0 = time.perf_counter()
     rt = _Runtime(budget, rng)
-    if budget.T_override is not None and not budget.paper_strict:
-        tcount = budget.T_override
-    else:
-        tcount = math.ceil(64.0 / epsilon**2)
-    if tcount > MAX_DRAWS:
-        raise TooLargeError(
-            f"additive estimator needs T={tcount:.3g} draws at accuracy "
-            f"{epsilon:.3g}; set T_override to run at desk scale"
-        )
+    tcount = _draw_count(budget, lambda: 64.0 / epsilon**2, "additive estimator")
     log_zm = rt.count(mu, epsilon / 4)
     log_zn = rt.count(nu, epsilon / 4)
     xs = rt.sample_batch(mu, tcount, epsilon / 4)
@@ -276,7 +270,7 @@ def additive_tv(
     lwm = mu.log_weight_batch(xs)
     x_hat = np.where(lwm > NEG_INF, np.maximum(0.0, 1.0 - ratio), 0.0)
     report = EstimateReport(float(np.mean(x_hat)), "additive", "additive", epsilon)
-    return rt.finish(report, t0)
+    return rt.finish(report)
 
 
 def marginal_additive_tv(
@@ -298,34 +292,22 @@ def marginal_additive_tv(
     sub = sorted(set(int(v) for v in subset))
     if any(not 0 <= v < mu.n for v in sub):
         raise InputError("subset references vertices outside the graph")
-    t0 = time.perf_counter()
     rt = _Runtime(budget, rng)
     if not sub:
-        return rt.finish(
-            EstimateReport(0.0, "additive", "marginal-additive", epsilon), t0
-        )
-    if budget.T_override is not None and not budget.paper_strict:
-        tcount = budget.T_override
-    else:
-        tcount = math.ceil(64.0 / epsilon**2)
-    if tcount > MAX_DRAWS:
-        raise TooLargeError(
-            f"marginal estimator needs T={tcount:.3g} draws; set T_override"
-        )
+        return rt.finish(EstimateReport(0.0, "additive", "marginal-additive", epsilon))
+    tcount = _draw_count(budget, lambda: 64.0 / epsilon**2, "marginal estimator")
     delta_cc = epsilon**2 / 320.0
-    log_zm = rt.conditional_count_boosted(mu, {}, epsilon / 8, delta_cc)
-    log_zn = rt.conditional_count_boosted(nu, {}, epsilon / 8, delta_cc)
+    log_zm = rt.count(mu, epsilon / 8, delta=delta_cc)
+    log_zn = rt.count(nu, epsilon / 8, delta=delta_cc)
     xs = rt.sample_batch(mu, tcount, epsilon / 8)
-    patterns, inverse, counts = np.unique(
-        xs[:, sub], axis=0, return_inverse=True, return_counts=True
-    )
+    patterns, _, counts = exact._row_patterns(xs, sub)
     total = 0.0
     for row, cnt in zip(patterns, counts):
         pin = {v: int(c) for v, c in zip(sub, row)}
-        lzm_s = rt.conditional_count_boosted(mu, pin, epsilon / 8, delta_cc)
+        lzm_s = rt.count(mu, epsilon / 8, pin, delta_cc)
         if lzm_s == NEG_INF:
             continue  # mu_hat restricted to this pattern is 0
-        lzn_s = rt.conditional_count_boosted(nu, pin, epsilon / 8, delta_cc)
+        lzn_s = rt.count(nu, epsilon / 8, pin, delta_cc)
         if lzn_s == NEG_INF:
             y_hat = 1.0
         else:
@@ -335,7 +317,7 @@ def marginal_additive_tv(
     report = EstimateReport(
         float(total) / tcount, "additive", "marginal-additive", epsilon
     )
-    return rt.finish(report, t0)
+    return rt.finish(report)
 
 
 def section_theta(mu: SpinSystem, nu: SpinSystem, b: float) -> float:
@@ -391,17 +373,12 @@ def basic_relative_tv(
         raise GateError(f"concentration condition gate failed: {params.reason}")
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
-    t0 = time.perf_counter()
     rt = _Runtime(budget, rng)
-    if budget.T_override is not None and not budget.paper_strict:
-        tcount = budget.T_override
-    else:
-        tcount = math.ceil(budget.c_T * 1e4 * params.L**2 * params.K**2 / epsilon**2)
-    if tcount > MAX_DRAWS:
-        raise TooLargeError(
-            f"basic estimator needs T={tcount:.3g} draws; set T_override "
-            "to run at desk scale"
-        )
+    tcount = _draw_count(
+        budget,
+        lambda: budget.c_T * 1e4 * params.L**2 * params.K**2 / epsilon**2,
+        "basic estimator",
+    )
     log_zm = rt.count(mu, epsilon / 4)
     log_zn = rt.count(nu, epsilon / 4)
     xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))
@@ -413,7 +390,7 @@ def basic_relative_tv(
         estimate, "relative", "basic", epsilon,
         d_par=params.d_par, theta=params.theta, c_tv_par=params.c_tv_par,
     )
-    return rt.finish(report, t0)
+    return rt.finish(report)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +561,19 @@ class _TruncStore:
         return self._data[plus]
 
 
-def _check_advanced_gates(
-    n: int, kappa: float, theta: float, t: int, epsilon: float, budget: EstimatorBudget
-) -> None:
+def _project_unique(xs: np.ndarray, cols: tuple[int, ...]):
+    patterns, _, counts = exact._row_patterns(xs, cols)
+    plus_sets = [
+        tuple(cols[i] for i in np.flatnonzero(row > 0)) for row in patterns
+    ]
+    return plus_sets, counts
+
+
+def _advanced_draws(
+    n: int, kappa: float, t: int, epsilon: float, budget: EstimatorBudget
+) -> int:
+    """Check the truncation gates, then size T = T' of the advanced path."""
+    _, theta = advanced_thresholds(n, epsilon, budget)
     problems = []
     eta = eta_truncation_bound(kappa, t, n)
     if eta > epsilon / 200.0:
@@ -595,23 +582,29 @@ def _check_advanced_gates(
         problems.append(f"theta/kappa={theta / kappa:.3g} >= 1/(10n)")
     if theta + kappa >= 1.0 / (10.0 * n):
         problems.append(f"theta+kappa={theta + kappa:.3g} >= 1/(10n)")
-    if not problems:
-        return
-    msg = "; ".join(problems)
-    if budget.override_gates and not budget.paper_strict:
+    if problems:
+        msg = "; ".join(problems)
+        if not budget.override_gates or budget.paper_strict:
+            raise GateError(f"advanced-estimator gates failed: {msg}")
         warnings.warn(f"advanced-estimator gates overridden: {msg}", RuntimeWarning)
-        return
-    raise GateError(f"advanced-estimator gates failed: {msg}")
+    return _draw_count(
+        budget,
+        lambda: budget.c_T * (n**3 + n / kappa) / epsilon**2,
+        "advanced estimator",
+    )
 
 
-def _project_unique(xs: np.ndarray, cols: tuple[int, ...]):
-    if not cols:
-        return [()], np.array([len(xs)])
-    patterns, counts = np.unique(xs[:, list(cols)], axis=0, return_counts=True)
-    plus_sets = [
-        tuple(cols[i] for i in np.flatnonzero(row > 0)) for row in patterns
-    ]
-    return plus_sets, counts
+def _tilde_ratio(
+    mu: SpinSystem, nu: SpinSystem, store: _TruncStore, rt: _Runtime, tprime: int
+) -> float:
+    xs = rt.sample_batch(mu, tprime, 1.0 / (1000.0 * tprime))
+    plus_sets, counts = _project_unique(xs, store.part.big)
+    total = 0.0
+    for plus, cnt in zip(plus_sets, counts):
+        tc = store.get(plus)
+        q = _field_ratio(mu, nu, plus) * tc.z_nu / tc.z_mu
+        total += cnt * q
+    return total / len(xs)
 
 
 def tilde_ratio_R(
@@ -622,33 +615,12 @@ def tilde_ratio_R(
     epsilon: float,
     budget: EstimatorBudget,
     rng: Optional[np.random.Generator] = None,
-    _store: Optional[_TruncStore] = None,
-    _rt: Optional[_Runtime] = None,
 ) -> float:
     """Estimate Z_nu/Z_mu to additive error (eps/100)*TV via big-side samples."""
     _check_pair(mu, nu)
-    n = mu.n
-    kappa = part.kappa
-    _, theta = advanced_thresholds(n, epsilon, budget)
-    _check_advanced_gates(n, kappa, theta, t, epsilon, budget)
-    rt = _rt if _rt is not None else _Runtime(budget, rng)
-    if budget.T_override is not None and not budget.paper_strict:
-        tprime = budget.T_override
-    else:
-        tprime = math.ceil(budget.c_T * (n**3 + n / kappa) / epsilon**2)
-    if tprime > MAX_DRAWS:
-        raise TooLargeError(
-            f"ratio estimator needs T'={tprime:.3g} draws; set T_override"
-        )
-    store = _store if _store is not None else _TruncStore(mu, nu, part, t)
-    xs = rt.sample_batch(mu, tprime, 1.0 / (1000.0 * tprime))
-    plus_sets, counts = _project_unique(xs, part.big)
-    total = 0.0
-    for plus, cnt in zip(plus_sets, counts):
-        tc = store.get(plus)
-        q = _field_ratio(mu, nu, plus) * tc.z_nu / tc.z_mu
-        total += cnt * q
-    return total / len(xs)
+    tprime = _advanced_draws(mu.n, part.kappa, t, epsilon, budget)
+    store = _TruncStore(mu, nu, part, t)
+    return _tilde_ratio(mu, nu, store, _Runtime(budget, rng), tprime)
 
 
 def advanced_relative_tv(
@@ -663,28 +635,19 @@ def advanced_relative_tv(
     Mean of the truncated conditional statistic over big-side marginal
     samples; exact for identical pairs and immune to the all-minus collapse
     that defeats the plain weight-ratio estimator when fields are below one
-    sample's resolution.
+    sample's resolution.  The ratio estimate and the mean share one draw
+    count T.
     """
     _check_pair(mu, nu)
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
-    t0 = time.perf_counter()
     rt = _Runtime(budget, rng)
     part = partition_big_small(mu, nu, epsilon, budget)
     t = min(budget.t, len(part.small))
-    store = _TruncStore(mu, nu, part, t)
-    r_tilde = tilde_ratio_R(
-        mu, nu, part, t, epsilon, budget, _store=store, _rt=rt
-    )
     n = mu.n
-    if budget.T_override is not None and not budget.paper_strict:
-        tcount = budget.T_override
-    else:
-        tcount = math.ceil(budget.c_T * (n**3 + n / part.kappa) / epsilon**2)
-    if tcount > MAX_DRAWS:
-        raise TooLargeError(
-            f"advanced estimator needs T={tcount:.3g} draws; set T_override"
-        )
+    tcount = _advanced_draws(n, part.kappa, t, epsilon, budget)
+    store = _TruncStore(mu, nu, part, t)
+    r_tilde = _tilde_ratio(mu, nu, store, rt, tcount)
     xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))
     plus_sets, counts = _project_unique(xs, part.big)
     total = 0.0
@@ -697,18 +660,72 @@ def advanced_relative_tv(
         total / tcount, "relative", "advanced", epsilon,
         d_par=d, theta=theta,
     )
-    return rt.finish(report, t0)
+    return rt.finish(report)
 
 
 # ---------------------------------------------------------------------------
 # Dispatcher
 
 
-def _merge(report: EstimateReport, **extra) -> EstimateReport:
-    for k, v in extra.items():
-        if getattr(report, k) is None:
-            setattr(report, k, v)
-    return report
+def _dispatch_branch(
+    mu: SpinSystem,
+    nu: SpinSystem,
+    epsilon: float,
+    budget: EstimatorBudget,
+    rng: np.random.Generator,
+    gating: dict,
+) -> EstimateReport:
+    """Run the branch the gates pick; record gating quantities as computed."""
+    if mu.n == 0:
+        return EstimateReport(0.0, "relative", "empty", epsilon)
+
+    pre = preprocess(mu, nu)
+    if pre.status == "resolved":
+        return EstimateReport(pre.tv, "relative", "preprocess-resolved", epsilon)
+    if pre.status == "big-gap":
+        gating["b"] = b = pre.lower_bound
+        rep = additive_tv(mu, nu, min(b * epsilon, 0.999), budget, rng)
+        return replace(
+            rep, error_kind="relative", branch="preprocess-big-gap", epsilon=epsilon
+        )
+
+    mu2, nu2 = pre.mu, pre.nu
+    n2 = mu2.n
+    if budget.mode == "exact" or (budget.mode == "auto" and n2 <= budget.exact_cap):
+        cap = max(exact.EXACT_CAP, budget.exact_cap)
+        value = exact.exact_tv(mu2, nu2, cap=cap)
+        return EstimateReport(value, "relative", "exact", epsilon)
+
+    gating["d_par"] = d = parameter_distance(mu2, nu2)
+    if d == 0.0:
+        return EstimateReport(0.0, "relative", "identical", epsilon)
+
+    if budget.mode == "additive":
+        rep = additive_tv(mu2, nu2, epsilon, budget, rng)
+        return replace(rep, branch="additive-forced")
+
+    regime = pair_regime(mu2, nu2)
+    gating["b"] = b = regime.marginal_bound
+    gating["c_tv_par"] = c_tv = tv_lower_bound_constant(mu2.kind, regime)
+    gating["theta"] = theta = section_theta(mu2, nu2, b)
+
+    if budget.mode == "auto" and d >= theta:
+        rep = additive_tv(mu2, nu2, min(theta * c_tv * epsilon, 0.999), budget, rng)
+        return replace(
+            rep, error_kind="relative", branch="additive-gated", epsilon=epsilon
+        )
+
+    use_advanced = budget.mode == "advanced"
+    if budget.mode == "auto" and mu2.kind == "hardcore":
+        _, theta_adv = advanced_thresholds(n2, epsilon, budget)
+        in_uniqueness = regime.uniqueness_gap is not None
+        if in_uniqueness and d < theta_adv:
+            use_advanced = True
+    if use_advanced:
+        return advanced_relative_tv(mu2, nu2, epsilon, budget, rng)
+
+    params = meta_condition_params(mu2, nu2, b, c_tv, d)
+    return basic_relative_tv(mu2, nu2, epsilon, params, budget, rng)
 
 
 def _dispatch_once(
@@ -718,78 +735,14 @@ def _dispatch_once(
     budget: EstimatorBudget,
     rng: np.random.Generator,
 ) -> EstimateReport:
+    """One dispatch run, stamped with its wall time and the gating fields
+    its branch left unset."""
     t0 = time.perf_counter()
-    if mu.n == 0:
-        return EstimateReport(0.0, "relative", "empty", epsilon, elapsed=0.0)
-
-    pre = preprocess(mu, nu)
-    if pre.status == "resolved":
-        return EstimateReport(
-            pre.tv, "relative", "preprocess-resolved", epsilon,
-            elapsed=time.perf_counter() - t0,
-        )
-    if pre.status == "big-gap":
-        b = pre.lower_bound
-        rep = additive_tv(mu, nu, min(b * epsilon, 0.999), budget, rng)
-        rep.error_kind = "relative"
-        rep.branch = "preprocess-big-gap"
-        rep.epsilon = epsilon
-        rep.b = b
-        rep.elapsed = time.perf_counter() - t0
-        return rep
-
-    mu2, nu2 = pre.mu, pre.nu
-    n2 = mu2.n
-    if budget.mode == "exact" or (budget.mode == "auto" and n2 <= budget.exact_cap):
-        cap = max(exact.EXACT_CAP, budget.exact_cap)
-        value = exact.exact_tv(mu2, nu2, cap=cap)
-        return EstimateReport(
-            value, "relative", "exact", epsilon, elapsed=time.perf_counter() - t0
-        )
-
-    d = parameter_distance(mu2, nu2)
-    if d == 0.0:
-        return EstimateReport(
-            0.0, "relative", "identical", epsilon, d_par=0.0,
-            elapsed=time.perf_counter() - t0,
-        )
-
-    if budget.mode == "additive":
-        rep = additive_tv(mu2, nu2, epsilon, budget, rng)
-        rep.branch = "additive-forced"
-        rep.d_par = d
-        rep.elapsed = time.perf_counter() - t0
-        return rep
-
-    regime = pair_regime(mu2, nu2)
-    b = regime.marginal_bound
-    c_tv = tv_lower_bound_constant(mu2.kind, regime)
-    theta = section_theta(mu2, nu2, b)
-
-    if budget.mode == "auto" and d >= theta:
-        rep = additive_tv(mu2, nu2, min(theta * c_tv * epsilon, 0.999), budget, rng)
-        rep.error_kind = "relative"
-        rep.branch = "additive-gated"
-        rep.epsilon = epsilon
-        _merge(rep, d_par=d, theta=theta, b=b, c_tv_par=c_tv)
-        rep.elapsed = time.perf_counter() - t0
-        return rep
-
-    use_advanced = budget.mode == "advanced"
-    if budget.mode == "auto" and mu2.kind == "hardcore":
-        _, theta_adv = advanced_thresholds(n2, epsilon, budget)
-        in_uniqueness = regime.uniqueness_gap is not None
-        if in_uniqueness and d < theta_adv:
-            use_advanced = True
-    if use_advanced:
-        rep = advanced_relative_tv(mu2, nu2, epsilon, budget, rng)
-        _merge(rep, d_par=d, b=b, c_tv_par=c_tv)
-        rep.elapsed = time.perf_counter() - t0
-        return rep
-
-    params = meta_condition_params(mu2, nu2, b, c_tv, d)
-    rep = basic_relative_tv(mu2, nu2, epsilon, params, budget, rng)
-    _merge(rep, b=b)
+    gating: dict = {}
+    rep = _dispatch_branch(mu, nu, epsilon, budget, rng, gating)
+    for name, value in gating.items():
+        if getattr(rep, name) is None:
+            setattr(rep, name, value)
     rep.elapsed = time.perf_counter() - t0
     return rep
 

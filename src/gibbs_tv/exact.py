@@ -176,10 +176,27 @@ def exact_tv(mu: SpinSystem, nu: SpinSystem, cap: int = EXACT_CAP) -> float:
     return 0.5 * math.fsum(np.abs(pm - pn).tolist())
 
 
-def _pattern_ids(configs: np.ndarray, subset: Sequence[int]) -> np.ndarray:
-    cols = np.asarray(list(subset), dtype=np.int64)
-    bits = (configs[:, cols] > 0).astype(np.int64)
-    return bits @ (1 << np.arange(len(cols), dtype=np.int64))
+def _row_patterns(
+    xs: np.ndarray, cols: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of the +-1 matrix ``xs[:, cols]``, with inverse and counts.
+
+    Same output, in the same order, as numpy's row-wise ``unique`` with
+    inverse and counts: each row is packed into bits (first column most
+    significant) and compared as one void field, which sorts like the rows
+    themselves at a fraction of the cost.  A leading 1 bit keeps zero-width
+    rows from packing to zero bytes.
+    """
+    k = len(cols)
+    bits = np.ones((len(xs), k + 1), dtype=bool)
+    bits[:, 1:] = xs[:, list(cols)] > 0
+    packed = np.packbits(bits, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    rows = np.unpackbits(
+        uniq.view(np.uint8).reshape(len(uniq), packed.shape[1]), axis=1, count=k + 1
+    )
+    return rows[:, 1:].astype(np.int8) * 2 - 1, inverse, counts
 
 
 def exact_marginal_tv(
@@ -196,23 +213,11 @@ def exact_marginal_tv(
         return 0.0
     if any(not 0 <= v < mu.n for v in sub):
         raise InputError("subset references vertices outside the graph")
-    if len(sub) > cap:
-        raise TooLargeError(f"marginal enumeration needs |subset| <= {cap}")
     configs = _union_support(mu, nu, cap)
-    ids = _pattern_ids(configs, sub)
-    size = 1 << len(sub)
-    pm = np.bincount(ids, weights=_probs(mu, configs), minlength=size)
-    pn = np.bincount(ids, weights=_probs(nu, configs), minlength=size)
+    _, ids, _ = _row_patterns(configs, sub)
+    pm = np.bincount(ids, weights=_probs(mu, configs))
+    pn = np.bincount(ids, weights=_probs(nu, configs))
     return 0.5 * math.fsum(np.abs(pm - pn).tolist())
-
-
-def exact_marginal_plus(model: SpinSystem, v: int, cap: int = EXACT_CAP) -> float:
-    """P(sigma_v = +1) by enumeration."""
-    dist = distribution(model, None, cap)
-    mask = dist.configs[:, v] > 0
-    if not mask.any():
-        return 0.0
-    return float(math.fsum(np.exp(dist.log_probs[mask]).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,3 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
-
-
-def graph_from_adjacency(adj: Sequence[Sequence[int]]) -> Graph:
-    edges = set()
-    for u, neigh in enumerate(adj):
-        for v in neigh:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(len(adj), sorted(edges))

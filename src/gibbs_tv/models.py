@@ -110,9 +110,6 @@ class HardcoreModel:
         out[bad] = NEG_INF
         return out
 
-    def with_lam(self, lam: np.ndarray) -> "HardcoreModel":
-        return HardcoreModel(self.graph, lam)
-
     def __repr__(self) -> str:
         return f"HardcoreModel(n={self.n}, m={self.graph.m})"
 
@@ -200,11 +197,6 @@ class IsingModel:
             bad = np.any(spins[:, pinned] != want[None, :], axis=1)
             out[bad] = NEG_INF
         return out
-
-    def with_params(
-        self, couplings: Mapping[tuple[int, int], float], fields: np.ndarray
-    ) -> "IsingModel":
-        return IsingModel(self.graph, couplings, fields)
 
     def __repr__(self) -> str:
         return f"IsingModel(n={self.n}, m={self.graph.m})"

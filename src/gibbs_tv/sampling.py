@@ -49,15 +49,11 @@ class SamplerConfig:
     """
 
     mixing_multiplier: float = 20.0
-    seed: Optional[int] = None
     exact_fallback_cap: int = 0
 
     def __post_init__(self):
         if self.mixing_multiplier <= 0:
             raise InputError("mixing_multiplier must be positive")
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def conditional_plus_probability(model: SpinSystem, sigma: np.ndarray, v: int) -> float:
@@ -196,8 +192,7 @@ def sample(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """One-shot sampling oracle call (build a :class:`Sampler` for loops)."""
-    cfg = cfg or SamplerConfig()
-    rng = rng if rng is not None else cfg.make_rng()
+    rng = rng if rng is not None else np.random.default_rng()
     return Sampler(model, pin, cfg).sample(delta, rng)
 
 

@@ -8,16 +8,14 @@ from gibbs_tv.counting import (
     approx_count,
     conditional_count,
     counts_exactly,
-    empirical_second_moment,
     num_levels,
-    ratio_estimate,
     _level_model,
 )
-from gibbs_tv.errors import InputError, MustPreprocessError
+from gibbs_tv.errors import InputError, MustPreprocessError, TooLargeError
 from gibbs_tv.exact import distribution, exact_partition
 from gibbs_tv.graph import Graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel
-from gibbs_tv.sampling import SamplerConfig
+from gibbs_tv.sampling import Sampler, SamplerConfig
 
 EXACT_SAMPLER = SamplerConfig(exact_fallback_cap=20)
 
@@ -54,6 +52,20 @@ def test_approx_count_rejects_bad_input(rng):
         approx_count(model, 0.1, rng=rng)
     with pytest.raises(InputError):
         approx_count(HardcoreModel(Graph(1), [1.0]), 1.5, rng=rng)
+
+
+def test_approx_count_refuses_astronomic_draws(monkeypatch):
+    """Draws per level above MAX_DRAWS, or a 1/eps^2 that underflows to a
+    division by zero, fail with TooLargeError before any chain step."""
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(Sampler, "sample_batch", no_chains)
+    model = HardcoreModel(path_graph(4), np.ones(4))
+    for eps in (1e-4, 1e-12, 1e-200):
+        with pytest.raises(TooLargeError):
+            approx_count(model, eps, CounterConfig(), np.random.default_rng(0))
 
 
 def test_conditional_count(rng):
@@ -98,87 +110,6 @@ def test_telescoping_identity_exact_expectations(rng):
             expectation = float(np.exp(dist.log_probs) @ ratios)
             log_z -= math.log(expectation)
         assert log_z == pytest.approx(exact_partition(model), abs=1e-10)
-
-
-def test_ratio_estimate_identical_pair_is_exactly_one(rng):
-    model = HardcoreModel(path_graph(3), np.ones(3))
-    run = ratio_estimate(model, model, 0.5, CounterConfig(samples_per_level=2),
-                         rng, EXACT_SAMPLER)
-    assert run.value == 1.0
-    moments, flagged = empirical_second_moment(run)
-    assert np.all(moments == 1.0) and flagged == []
-
-
-def test_ratio_estimate_single_vertex(rng):
-    a = HardcoreModel(Graph(1), [1.0])
-    b = HardcoreModel(Graph(1), [1.01])
-    run = ratio_estimate(a, b, 0.01, CounterConfig(), rng, EXACT_SAMPLER)
-    assert run.value == pytest.approx(2.01 / 2.0, rel=0.01)
-
-
-def test_ratio_estimate_p3(rng):
-    mu = HardcoreModel(path_graph(3), np.ones(3))
-    nu = HardcoreModel(path_graph(3), np.full(3, 1.05))
-    truth = math.exp(exact_partition(nu) - exact_partition(mu))
-    run = ratio_estimate(mu, nu, 0.05, CounterConfig(), rng, EXACT_SAMPLER)
-    assert run.value == pytest.approx(truth, rel=0.05)
-
-
-def test_ratio_estimate_second_moment_closed_form(rng):
-    # force a single level; W is 1 or 1.01 with probability 1/2 each
-    a = HardcoreModel(Graph(1), [1.0])
-    b = HardcoreModel(Graph(1), [1.01])
-    cfg = CounterConfig(levels_multiplier=1e-6, samples_per_level=30.0)
-    run = ratio_estimate(a, b, 0.02, cfg, rng, EXACT_SAMPLER)
-    assert run.levels == 1
-    expected = (0.5 * 1.0 + 0.5 * 1.01**2) / (0.5 * 1.0 + 0.5 * 1.01) ** 2
-    moments, _ = empirical_second_moment(run)
-    assert moments[0] == pytest.approx(expected, abs=5e-6)
-
-
-def test_ratio_estimate_levels_scale_with_distance():
-    mu = HardcoreModel(path_graph(4), np.full(4, 0.5))
-    nu_near = HardcoreModel(path_graph(4), np.full(4, 0.5 + 1e-6))
-    nu_far = HardcoreModel(path_graph(4), np.full(4, 1.5))
-    rng = np.random.default_rng(0)
-    cfg = CounterConfig(samples_per_level=1.0)
-    near = ratio_estimate(mu, nu_near, 0.5, cfg, rng, EXACT_SAMPLER)
-    far = ratio_estimate(mu, nu_far, 0.5, cfg, rng, EXACT_SAMPLER)
-    assert far.levels > near.levels
-
-
-def test_ratio_estimate_ising_fallback(rng):
-    g = Graph(2, [(0, 1)])
-    mu = IsingModel(g, {(0, 1): 0.3}, [0.1, 0.0])
-    nu = IsingModel(g, {(0, 1): 0.3}, [0.2, 0.0])
-    truth = math.exp(exact_partition(nu) - exact_partition(mu))
-    run = ratio_estimate(mu, nu, 0.1, CounterConfig(boost_repeats=3), rng, EXACT_SAMPLER)
-    assert run.value == pytest.approx(truth, rel=0.1)
-    with pytest.raises(InputError):
-        empirical_second_moment(run)
-
-
-def test_ratio_estimate_zero_mismatch_rejected(rng):
-    g = Graph(2, [(0, 1)])
-    mu = HardcoreModel(g, [0.0, 1.0])
-    nu = HardcoreModel(g, [1.0, 1.0])
-    with pytest.raises(MustPreprocessError):
-        ratio_estimate(mu, nu, 0.1, rng=rng)
-
-
-def test_second_moments_stay_small_for_large_distance(rng):
-    """With the level count scaling as 1 + n*d_par, no per-level second
-    moment exceeds the flag threshold even for a wide interpolation."""
-    from gibbs_tv.counting import DEFAULT_MOMENT_THRESHOLD
-
-    g = random_graph(6, 0.4, np.random.default_rng(1))
-    mu = HardcoreModel(g, np.full(6, 0.5))
-    nu = HardcoreModel(g, np.full(6, 1.0))  # d_par = 0.5
-    run = ratio_estimate(mu, nu, 0.2, CounterConfig(), rng, EXACT_SAMPLER)
-    assert run.levels >= math.ceil(4 * (1 + 6 * 0.5))
-    moments, flagged = empirical_second_moment(run, DEFAULT_MOMENT_THRESHOLD)
-    assert flagged == []
-    assert np.all(moments < DEFAULT_MOMENT_THRESHOLD)
 
 
 def test_conditional_count_empty_pin_matches_plain():

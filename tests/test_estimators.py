@@ -406,6 +406,10 @@ def test_budget_validation():
         EstimatorBudget(mode="nope")
     with pytest.raises(InputError):
         EstimatorBudget(t=-1)
+    with pytest.raises(InputError):
+        EstimatorBudget(T_override=0)
+    with pytest.raises(InputError):
+        EstimatorBudget(threads=0)
 
 
 def test_sample_count_shapes():

@@ -14,7 +14,9 @@ from gibbs_tv.exact import (
     exact_partition,
     exact_tv,
     support_configs,
+    _row_patterns,
 )
+from gibbs_tv.estimators import _project_unique
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel
 
@@ -78,6 +80,26 @@ def test_exact_marginal_tv():
     pm = 1.0 / 3.0  # P(v0 = +) under lambda = (1,1): weights 1,1,1
     pn = 1.0 / 4.0  # under (1,2): Z = 4, only {v0} has v0 = +
     assert exact_marginal_tv(em, en, [0]) == pytest.approx(abs(pm - pn))
+
+
+def test_row_patterns_match_np_unique(rng):
+    """The packed-bits helper reproduces np.unique(axis=0): the same patterns
+    in the same order, the same inverse and counts, at any width."""
+    for k in (1, 5, 63, 70):
+        pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, k + 4))
+        xs = pool[rng.integers(0, len(pool), size=500)]
+        cols = [int(c) for c in rng.permutation(k + 4)[:k]]
+        want = np.unique(xs[:, cols], axis=0, return_inverse=True, return_counts=True)
+        got = _row_patterns(xs, cols)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    # zero columns: one empty pattern that holds every row
+    xs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(7, 3))
+    want = np.unique(xs[:, []], axis=0, return_inverse=True, return_counts=True)
+    for g, w in zip(_row_patterns(xs, []), want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    plus_sets, counts = _project_unique(xs, ())
+    assert plus_sets == [()] and list(counts) == [7]
 
 
 def test_exact_marginal_tv_monotone(rng):

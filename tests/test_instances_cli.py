@@ -197,6 +197,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys):
+    pa, pb, *_ = _write_pair(tmp_path)
+    # the counter's draws per level exceed MAX_DRAWS: a typed oracle failure
+    assert main(["count", pa, "--eps", "1e-12"]) == 4
+    # zero draws or zero threads are invalid input, not NaN or a traceback
+    assert main(["marginal-tv", pa, pb, "--subset", "b", "--t-override", "0"]) == 2
+    assert main(["tv", pa, pb, "--mode", "additive", "--t-override", "0"]) == 2
+    assert main(["tv", pa, pb, "--threads", "0"]) == 2
+    capsys.readouterr()
+    # subcommands register only the flags they read
+    with pytest.raises(SystemExit):
+        main(["check", pa, "--eps", "0.1"])
+    capsys.readouterr()
+
+
 def test_threads_env_default(monkeypatch):
     monkeypatch.setenv("GIBBS_TV_THREADS", "4")
     parser = build_parser()

@@ -1,4 +1,10 @@
+import importlib.util
 import math
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -16,12 +22,38 @@ from gibbs_tv.sampling import (
     sample_marginal,
 )
 
-try:
-    from gibbs_tv import _chain
 
-    HAS_COMPILED = True
-except ImportError:
-    HAS_COMPILED = False
+@pytest.fixture(scope="module")
+def compiled_chain(tmp_path_factory):
+    """The compiled kernel; when no extension is installed, the tracked
+    ``_chain.c`` is built with ``cc`` into a temp dir and loaded from there
+    without registering it as ``gibbs_tv._chain``."""
+    try:
+        from gibbs_tv import _chain
+
+        return _chain
+    except ImportError:
+        pass
+    cc = shutil.which("cc")
+    py_include = sysconfig.get_paths()["include"]
+    if cc is None or not os.path.isfile(os.path.join(py_include, "Python.h")):
+        pytest.skip("no C compiler or Python headers to build the kernel")
+    source = os.path.join(os.path.dirname(_chain_py.__file__), "_chain.c")
+    lib = tmp_path_factory.mktemp("kernel") / (
+        "_chain" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", f"-I{py_include}", f"-I{np.get_include()}",
+         "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", source, "-o", str(lib)],
+        check=True, capture_output=True,
+    )
+    spec = importlib.util.spec_from_file_location("gibbs_tv._chain", lib)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the Cython module adds itself to sys.modules; the sampler must keep
+    # the kernel it chose at import
+    sys.modules.pop("gibbs_tv._chain", None)
+    return module
 
 
 def test_config_validation():
@@ -178,8 +210,7 @@ def test_threads_do_not_change_output():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.skipif(not HAS_COMPILED, reason="compiled kernel unavailable")
-def test_kernels_walk_identical_trajectories(rng):
+def test_kernels_walk_identical_trajectories(rng, compiled_chain):
     n = 8
     g = random_graph(n, 0.4, np.random.default_rng(3))
     lam = np.random.default_rng(4).uniform(0.2, 1.5, n)
@@ -190,7 +221,7 @@ def test_kernels_walk_identical_trajectories(rng):
     us = rng.random(steps)
     s1 = np.full(n, -1, dtype=np.int8)
     s2 = np.full(n, -1, dtype=np.int8)
-    _chain.run_hardcore(g.indptr, g.indices, p_plus, s1, sites, us)
+    compiled_chain.run_hardcore(g.indptr, g.indices, p_plus, s1, sites, us)
     _chain_py.run_hardcore(g.indptr, g.indices, p_plus, s2, sites, us)
     assert np.array_equal(s1, s2)
 
@@ -199,7 +230,7 @@ def test_kernels_walk_identical_trajectories(rng):
     ising = IsingModel(g, j, h)
     s1 = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8)
     s2 = s1.copy()
-    _chain.run_ising(g.indptr, g.indices, ising.csr_j, h, s1, sites, us)
+    compiled_chain.run_ising(g.indptr, g.indices, ising.csr_j, h, s1, sites, us)
     _chain_py.run_ising(g.indptr, g.indices, ising.csr_j, h, s2, sites, us)
     assert np.array_equal(s1, s2)
 
