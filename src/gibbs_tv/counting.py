@@ -28,27 +28,28 @@ from .models import (
     SpinSystem,
     contract_pinning,
 )
-from .sampling import Sampler, SamplerConfig
+from .sampling import Sampler, SamplerConfig, mixing_steps
 
 MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
+MAX_CHAIN_STEPS = 100_000_000_000  # refuse counts whose chains take more steps
 
 
-def check_draws(formula: Callable[[], float], what: str) -> int:
-    """``ceil(formula())``, refused with TooLargeError above MAX_DRAWS.
+def check_budget(
+    formula: Callable[[], float], what: str, limit: float = MAX_DRAWS, unit: str = "draws"
+) -> int:
+    """``ceil(formula())``, refused with TooLargeError above ``limit``.
 
     The formula is evaluated here so that one overflowing on a tiny epsilon
     (``OverflowError``, or ``ZeroDivisionError`` once ``epsilon**2``
-    underflows) counts as an infinite draw count rather than escaping.
+    underflows) counts as an infinite cost rather than escaping.
     """
     try:
-        draws = formula()
+        cost = formula()
     except (OverflowError, ZeroDivisionError):
-        draws = math.inf
-    if not draws <= MAX_DRAWS:  # also refuses nan
-        raise TooLargeError(
-            f"{what} needs {draws:.3g} draws, above the limit of {MAX_DRAWS:.3g}"
-        )
-    return math.ceil(draws)
+        cost = math.inf
+    if not cost <= limit:  # also refuses nan
+        raise TooLargeError(f"{what} needs {cost:.3g} {unit}, above the limit of {limit:.3g}")
+    return math.ceil(cost)
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,13 @@ def _level_model(model: SpinSystem, frac: float) -> SpinSystem:
 
 def _single_count(
     model: SpinSystem,
-    epsilon: float,
+    ell: int,
+    delta: float,
     draws: int,
-    cfg: CounterConfig,
     rng: np.random.Generator,
     sampler_cfg: SamplerConfig,
     threads: int,
 ) -> float:
-    ell = num_levels(model, cfg)
-    delta = min(0.5, epsilon / (20.0 * ell))
     log_base = 0.0 if model.kind == "hardcore" else model.n * math.log(2.0)
     log_z = log_base
     for i in range(1, ell + 1):
@@ -148,7 +147,9 @@ def approx_count(
 
     The guarantee is inherited from the sampler; hardcore zero fields are
     stripped exactly first.  Returns the log estimate.  Raises TooLargeError
-    before any chain step when the draws per level exceed ``MAX_DRAWS``.
+    before any chain step when the draws per level exceed ``MAX_DRAWS`` or
+    the whole count (repeats x levels x draws x steps per chain) exceeds
+    ``MAX_CHAIN_STEPS``.
     """
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
@@ -163,11 +164,20 @@ def approx_count(
         return 0.0  # Z = 1 either way: empty product / 2^0
     if counts_exactly(model, cfg):
         return exact.exact_partition(model, cap=model.n)
-    draws = check_draws(
+    draws = check_budget(
         lambda: cfg.samples_per_level / epsilon**2, "each annealing level"
     )
+    ell = num_levels(model, cfg)
+    delta = min(0.5, epsilon / (20.0 * ell))
+    # no vertex is pinned, so every level's sampler enumerates when n is small
+    enumerates = model.n <= sampler_cfg.exact_fallback_cap
+    steps = 0 if enumerates else mixing_steps(model.n, delta, sampler_cfg)
+    check_budget(
+        lambda: cfg.boost_repeats * ell * draws * steps, "the annealing counter",
+        MAX_CHAIN_STEPS, "chain steps",
+    )
     runs = [
-        _single_count(model, epsilon, draws, cfg, child, sampler_cfg, threads)
+        _single_count(model, ell, delta, draws, child, sampler_cfg, threads)
         for child in rng.spawn(cfg.boost_repeats)
     ]
     return float(np.median(runs))

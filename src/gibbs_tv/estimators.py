@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from . import exact
-from .counting import CounterConfig, approx_count, check_draws, counts_exactly
+from .counting import CounterConfig, approx_count, check_budget, counts_exactly
 from .errors import GateError, InfeasiblePinningError, InputError
 from .models import (
     NEG_INF,
@@ -225,8 +225,8 @@ def _draw_count(
     is set; the formula is only evaluated when it is used.
     """
     if budget.T_override is not None and not budget.paper_strict:
-        return check_draws(lambda: budget.T_override, what)
-    return check_draws(formula, f"{what} (set T_override to run at desk scale)")
+        return check_budget(lambda: budget.T_override, what)
+    return check_budget(formula, f"{what} (set T_override to run at desk scale)")
 
 
 def _ratio_hat(

@@ -1,10 +1,10 @@
 """Sampling oracle: random-scan Glauber dynamics with an exact-sampling fallback.
 
-The single-site chain is the hot loop of the whole package; it runs in a
-compiled kernel when the extension built, with a pure-Python twin otherwise
-(``active_kernel()`` reports which).  Randomness is pre-drawn per chain, so
-the two kernels produce identical trajectories, and chains of a batch can be
-run on worker threads without changing the output.
+The single-site chain is the hot loop of the whole package; it runs in a C
+kernel compiled with ``cc`` on first import, with a pure-Python twin when
+that cannot be built (``active_kernel()`` reports which).  Randomness is
+pre-drawn per chain, so the two kernels produce identical trajectories, and
+chains of a batch can be run on worker threads without changing the output.
 
 The Glauber guarantee (a sample within TV distance ``delta`` of the target
 after ``C_mix * n * ln(n/delta)`` steps) holds in the uniqueness / spectral
@@ -27,7 +27,7 @@ from .models import Pinning, SpinSystem, contract_pinning, pin_array
 
 try:
     from . import _chain as _kernel
-except ImportError:  # extension not built; use the twin
+except ImportError:  # no compiler or no writable cache; use the twin
     from . import _chain_py as _kernel
 
 
@@ -54,6 +54,11 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mixing_multiplier <= 0:
             raise InputError("mixing_multiplier must be positive")
+
+
+def mixing_steps(n: int, delta: float, cfg: SamplerConfig) -> int:
+    """Glauber steps on ``n`` vertices for accuracy ``delta``: at least n."""
+    return max(n, math.ceil(cfg.mixing_multiplier * n * math.log(n / delta)))
 
 
 def conditional_plus_probability(model: SpinSystem, sigma: np.ndarray, v: int) -> float:
@@ -118,7 +123,7 @@ class Sampler:
         n = self.model.n
         if n == 0 or len(self.free) == 0 or self.is_exact:
             return 0
-        return max(n, math.ceil(self.cfg.mixing_multiplier * n * math.log(n / delta)))
+        return mixing_steps(n, delta, self.cfg)
 
     def _init_state(self, rng: np.random.Generator) -> np.ndarray:
         state = self.pins.copy()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from gibbs_tv.counting import (
     num_levels,
     _level_model,
 )
+from gibbs_tv.cli import main
 from gibbs_tv.errors import InputError, MustPreprocessError, TooLargeError
+from gibbs_tv.estimators import EstimatorBudget, dispatch_tv
 from gibbs_tv.exact import distribution, exact_partition
-from gibbs_tv.graph import Graph, path_graph, random_graph
+from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
+from gibbs_tv.instances import emit_instance
 from gibbs_tv.models import HardcoreModel, IsingModel
 from gibbs_tv.sampling import Sampler, SamplerConfig
 
@@ -55,8 +59,9 @@ def test_approx_count_rejects_bad_input(rng):
 
 
 def test_approx_count_refuses_astronomic_draws(monkeypatch):
-    """Draws per level above MAX_DRAWS, or a 1/eps^2 that underflows to a
-    division by zero, fail with TooLargeError before any chain step."""
+    """Draws per level above MAX_DRAWS, a 1/eps^2 that underflows to a
+    division by zero, or a whole count (repeats x levels x draws x steps)
+    above MAX_CHAIN_STEPS fail with TooLargeError before any chain step."""
 
     def no_chains(*args, **kwargs):
         raise AssertionError("a chain ran")
@@ -64,8 +69,46 @@ def test_approx_count_refuses_astronomic_draws(monkeypatch):
     monkeypatch.setattr(Sampler, "sample_batch", no_chains)
     model = HardcoreModel(path_graph(4), np.ones(4))
     for eps in (1e-4, 1e-12, 1e-200):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError, match="draws"):
             approx_count(model, eps, CounterConfig(), np.random.default_rng(0))
+    # 1.6e5 draws per level, under MAX_DRAWS, but 9 x 559 levels of them
+    long_path = HardcoreModel(path_graph(200), np.ones(200))
+    with pytest.raises(TooLargeError, match="chain steps"):
+        approx_count(long_path, 0.01, CounterConfig(), np.random.default_rng(0))
+
+
+def test_whole_count_cost_fails_fast(tmp_path, monkeypatch, capsys):
+    """An Ising 4-cycle pair with one pinned vertex, through the
+    additive-gated branch at eps 0.3: 2.0e7 draws per level (under
+    MAX_DRAWS) over 8 levels of 917-step chains is 1.5e11 chain steps.
+    Without the whole-cost guard this ran for hours; it must now fail before
+    any chain step, from the library and with CLI exit code 4."""
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(Sampler, "sample_batch", no_chains)
+    g = cycle_graph(4)
+    couplings = {e: 0.15 for e in g.edges}
+    mu = IsingModel(g, couplings, [math.inf, 0.0, -0.2, 0.05])
+    nu = IsingModel(g, couplings, [math.inf, 0.3, -0.2, 0.05])
+    budget = EstimatorBudget(
+        exact_cap=0, T_override=200, sampler=SamplerConfig(exact_fallback_cap=0),
+        counter=CounterConfig(samples_per_level=0.25, boost_repeats=1, exact_fallback_cap=0),
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(TooLargeError, match="chain steps"):
+        dispatch_tv(mu, nu, 0.3, budget, np.random.default_rng(0))
+    paths = []
+    for name, model in (("mu", mu), ("nu", nu)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(emit_instance(model))
+    flags = ["--eps", "0.3", "--exact-cap", "0", "--exact-sampler-cap", "0",
+             "--exact-counter-cap", "0", "--samples-per-level", "0.25",
+             "--boost-repeats", "1", "--t-override", "200"]
+    assert main(["tv", *paths, *flags]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    capsys.readouterr()
 
 
 def test_conditional_count(rng):

@@ -1,15 +1,15 @@
-import importlib.util
 import math
 import os
 import shutil
 import subprocess
 import sys
-import sysconfig
 
 import numpy as np
 import pytest
 
+import gibbs_tv
 from gibbs_tv import _chain_py
+from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.errors import InfeasiblePinningError, InputError
 from gibbs_tv.exact import distribution
 from gibbs_tv.graph import Graph, path_graph, random_graph
@@ -24,36 +24,9 @@ from gibbs_tv.sampling import (
 
 
 @pytest.fixture(scope="module")
-def compiled_chain(tmp_path_factory):
-    """The compiled kernel; when no extension is installed, the tracked
-    ``_chain.c`` is built with ``cc`` into a temp dir and loaded from there
-    without registering it as ``gibbs_tv._chain``."""
-    try:
-        from gibbs_tv import _chain
-
-        return _chain
-    except ImportError:
-        pass
-    cc = shutil.which("cc")
-    py_include = sysconfig.get_paths()["include"]
-    if cc is None or not os.path.isfile(os.path.join(py_include, "Python.h")):
-        pytest.skip("no C compiler or Python headers to build the kernel")
-    source = os.path.join(os.path.dirname(_chain_py.__file__), "_chain.c")
-    lib = tmp_path_factory.mktemp("kernel") / (
-        "_chain" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{py_include}", f"-I{np.get_include()}",
-         "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", source, "-o", str(lib)],
-        check=True, capture_output=True,
-    )
-    spec = importlib.util.spec_from_file_location("gibbs_tv._chain", lib)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # the Cython module adds itself to sys.modules; the sampler must keep
-    # the kernel it chose at import
-    sys.modules.pop("gibbs_tv._chain", None)
-    return module
+def compiled_chain():
+    """The C kernel; skipped only where it cannot be built (no ``cc``)."""
+    return pytest.importorskip("gibbs_tv._chain")
 
 
 def test_config_validation():
@@ -210,29 +183,167 @@ def test_threads_do_not_change_output():
     assert np.array_equal(a, b)
 
 
+def _walk_both(compiled_chain, kind, args, state, sites, us, segments=5):
+    """Run both kernels from ``state`` segment by segment; assert they agree
+    after every segment."""
+    s1, s2 = state.copy(), state.copy()
+    for part in np.array_split(np.arange(len(sites)), segments):
+        si, u = sites[part], us[part]
+        getattr(compiled_chain, kind)(*args, s1, si, u)
+        getattr(_chain_py, kind)(*args, s2, si, u)
+        assert np.array_equal(s1, s2)
+    return s1
+
+
 def test_kernels_walk_identical_trajectories(rng, compiled_chain):
     n = 8
     g = random_graph(n, 0.4, np.random.default_rng(3))
     lam = np.random.default_rng(4).uniform(0.2, 1.5, n)
-    model = HardcoreModel(g, lam)
     p_plus = lam / (1 + lam)
     steps = 5000
     sites = rng.integers(0, n, size=steps)
     us = rng.random(steps)
-    s1 = np.full(n, -1, dtype=np.int8)
-    s2 = np.full(n, -1, dtype=np.int8)
-    compiled_chain.run_hardcore(g.indptr, g.indices, p_plus, s1, sites, us)
-    _chain_py.run_hardcore(g.indptr, g.indices, p_plus, s2, sites, us)
-    assert np.array_equal(s1, s2)
+    _walk_both(compiled_chain, "run_hardcore", (g.indptr, g.indices, p_plus),
+               np.full(n, -1, dtype=np.int8), sites, us)
 
     j = {e: float(np.random.default_rng(5).uniform(-0.5, 0.5)) for e in g.edges}
     h = np.random.default_rng(6).uniform(-1, 1, n)
     ising = IsingModel(g, j, h)
-    s1 = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8)
-    s2 = s1.copy()
-    compiled_chain.run_ising(g.indptr, g.indices, ising.csr_j, h, s1, sites, us)
-    _chain_py.run_ising(g.indptr, g.indices, ising.csr_j, h, s2, sites, us)
-    assert np.array_equal(s1, s2)
+    _walk_both(compiled_chain, "run_ising", (g.indptr, g.indices, ising.csr_j, h),
+               np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8), sites, us)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the twin at 1e308
+def test_kernels_agree_on_edge_cases(rng, compiled_chain):
+    # vertices 5..7 are isolated
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+    steps = 4000
+    sites = rng.integers(0, g.n, size=steps)
+    us = rng.random(steps)
+    # occupation probabilities 0 and 1 next to ordinary ones
+    p_plus = np.array([0.0, 1.0, 0.5, 1.0, 0.0, 1.0, 0.0, 0.3])
+    end = _walk_both(compiled_chain, "run_hardcore", (g.indptr, g.indices, p_plus),
+                     np.full(g.n, -1, dtype=np.int8), sites, us)
+    assert end[5] == 1 and end[6] == -1  # isolated, p = 1 and p = 0
+    # fields that saturate the heat-bath probability (|a| > 709 either way),
+    # fields just inside the cut-off, and couplings that push sums past it
+    h = np.array([800.0, -800.0, 354.4, -354.4, 354.6, -354.6, 1e308, -1e308])
+    for scale in (0.0, 1.0, 400.0):
+        csr_j = IsingModel(g, {e: scale * (-1) ** k for k, e in enumerate(g.edges)},
+                           np.zeros(g.n)).csr_j
+        for start in (1, -1):
+            _walk_both(compiled_chain, "run_ising", (g.indptr, g.indices, csr_j, h),
+                       np.full(g.n, start, dtype=np.int8), sites, us)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sample_batch_identical_on_both_kernels(monkeypatch, compiled_chain, threads):
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])  # 5, 6 isolated
+    j = {e: 0.4 * (-1) ** k for k, e in enumerate(g.edges)}
+    models = [
+        (HardcoreModel(g, np.linspace(0.2, 2.0, g.n)), None),
+        (HardcoreModel(g, np.linspace(0.2, 2.0, g.n)), {1: 1}),
+        (IsingModel(g, j, np.linspace(-1.0, 1.0, g.n)), {4: -1}),
+    ]
+    for model, pin in models:
+        batches = []
+        for kernel in (compiled_chain, _chain_py):
+            monkeypatch.setattr(sampling_mod, "_kernel", kernel)
+            sampler = sampling_mod.Sampler(model, pin)
+            batches.append(sampler.sample_batch(150, 0.05, np.random.default_rng(8), threads))
+        assert np.array_equal(*batches)
+
+
+def _src_dir() -> str:
+    return os.path.dirname(os.path.dirname(os.path.abspath(gibbs_tv.__file__)))
+
+
+def test_compiled_wrappers_validate_arrays(compiled_chain):
+    g = path_graph(4)
+    model = IsingModel(g, {e: 0.2 for e in g.edges}, np.zeros(4))
+    good = dict(indptr=g.indptr, indices=g.indices, p_plus=np.full(4, 0.5),
+                state=np.full(4, -1, dtype=np.int8),
+                sites=np.arange(4, dtype=np.int64), us=np.full(4, 0.25))
+    bad = [
+        (TypeError, "sites", np.arange(4, dtype=np.int32)),
+        (TypeError, "us", np.full(4, 0.25, dtype=np.float32)),
+        (TypeError, "state", np.full(4, -1, dtype=np.int64)),
+        (TypeError, "state", [-1, -1, -1, -1]),
+        (TypeError, "indptr", g.indptr.astype(np.int64)),
+        (TypeError, "p_plus", np.full((2, 2), 0.5)),
+        (ValueError, "sites", np.arange(8, dtype=np.int64)[::2]),
+        (ValueError, "us", np.full(8, 0.25)[::2]),
+        (ValueError, "state", np.full(8, -1, dtype=np.int8)[::2]),
+        (ValueError, "us", np.full(3, 0.25)),  # fewer uniforms than sites
+        (ValueError, "us", np.full(5, 0.25)),
+        (ValueError, "p_plus", np.full(3, 0.5)),
+        (ValueError, "indices", g.indices[:-1]),
+        (ValueError, "sites", np.array([0, 1, 4, 2], dtype=np.int64)),  # off the graph
+        (ValueError, "sites", np.array([0, -1, 2, 3], dtype=np.int64)),
+    ]
+    for error, name, value in bad:
+        args = dict(good, **{name: value})
+        state_before = args["state"].copy() if name != "state" else None
+        with pytest.raises(error):
+            compiled_chain.run_hardcore(*args.values())
+        if state_before is not None:
+            assert np.array_equal(args["state"], state_before)
+    frozen = good["state"].copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        compiled_chain.run_hardcore(*dict(good, state=frozen).values())
+    ising = [g.indptr, g.indices, model.csr_j, model.h, good["state"], good["sites"], good["us"]]
+    for i, value in ((2, model.csr_j[:-1]), (3, np.zeros(5)), (6, np.full(2, 0.5))):
+        with pytest.raises(ValueError):
+            compiled_chain.run_ising(*ising[:i], value, *ising[i + 1:])
+    # the checks are not asserts: they hold under python -O as well
+    code = ("import numpy as np; from gibbs_tv import _chain; from gibbs_tv.graph import "
+            "path_graph; g = path_graph(2)\n"
+            "try: _chain.run_hardcore(g.indptr, g.indices, np.ones(2), np.ones(2, np.int8), "
+            "np.zeros(3, np.int64), np.ones(2))\nexcept ValueError: print('refused')")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=_src_dir()), check=True)
+    assert out.stdout.strip() == "refused"
+
+
+def _kernel_in_copy(tmp_path, path_env=None, cache_blocked=False, source=None) -> str:
+    """``active_kernel()`` reported by a fresh interpreter importing a copy of
+    the package (with an empty kernel cache) from ``tmp_path``."""
+    pkg = tmp_path / "gibbs_tv"
+    if not pkg.exists():
+        shutil.copytree(os.path.dirname(gibbs_tv.__file__), pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    if cache_blocked:
+        (pkg / "__pycache__").write_text("a file where the cache directory would go")
+    if source is not None:
+        (pkg / "chain_kernel.c").write_text(source)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    if path_env is not None:
+        env["PATH"] = path_env
+    out = subprocess.run(
+        [sys.executable, "-c", "import gibbs_tv.sampling as s; print(s.active_kernel())"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True, timeout=300,
+    )
+    return out.stdout.strip()
+
+
+def test_kernel_falls_back_when_it_cannot_be_built(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler to build the kernel with")
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    # no cc on PATH
+    assert _kernel_in_copy(tmp_path / "a", path_env=str(empty)) == "python"
+    # the cache directory cannot be created
+    assert _kernel_in_copy(tmp_path / "b", cache_blocked=True) == "python"
+    # the compile fails
+    assert _kernel_in_copy(tmp_path / "c", source="not C\n") == "python"
+    # a warm cache needs no compiler, and the atomic write leaves no temp file
+    assert _kernel_in_copy(tmp_path / "d") == "compiled"
+    assert _kernel_in_copy(tmp_path / "d", path_env=str(empty)) == "compiled"
+    built = [f for f in os.listdir(tmp_path / "d" / "gibbs_tv" / "__pycache__")
+             if not f.endswith(".pyc")]
+    assert len(built) == 1 and built[0].startswith("chain_kernel-") and built[0].endswith(".so")
 
 
 def test_exact_fallback_matches_distribution(rng):
@@ -257,14 +368,9 @@ def test_fallback_kernel_selected_when_extension_missing():
     """Reloading the sampling module with the extension blocked selects the
     pure-Python kernel and produces the same samples."""
     import importlib
-    import sys
-
-    import gibbs_tv.sampling as sampling_mod
 
     model = HardcoreModel(path_graph(4), np.full(4, 0.9))
     with_ext = Sampler(model).sample_batch(40, 0.05, np.random.default_rng(12))
-
-    import gibbs_tv
 
     saved = sys.modules.pop("gibbs_tv._chain", None)
     sys.modules["gibbs_tv._chain"] = None  # halts the module import
