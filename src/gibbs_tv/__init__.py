@@ -24,14 +24,13 @@ from .models import (
     tv_lower_bound_constant,
 )
 from .exact import (
-    exact_conditional_partition,
     exact_marginal_tv,
     exact_partition,
     exact_tv,
     count_via_tv_queries,
 )
-from .sampling import Sampler, SamplerConfig, active_kernel, sample, sample_marginal
-from .counting import CounterConfig, approx_count, conditional_count
+from .sampling import Sampler, SamplerConfig, active_kernel
+from .counting import CounterConfig, approx_count
 from .estimators import (
     BigSmallPartition,
     EstimateReport,
@@ -43,11 +42,9 @@ from .estimators import (
     basic_relative_tv,
     dispatch_tv,
     eta_truncation_bound,
-    f_hat,
     marginal_additive_tv,
     meta_condition_params,
     partition_big_small,
-    tilde_ratio_R,
     truncated_conditional,
 )
 from .instances import RunRecord, emit_instance, instance_hash, load_instance, parse_instance
@@ -64,18 +61,15 @@ __all__ = [
     "advanced_relative_tv",
     "approx_count",
     "basic_relative_tv",
-    "conditional_count",
     "dispatch_tv",
     "emit_instance",
     "eta_truncation_bound",
-    "f_hat",
     "instance_hash",
     "load_instance",
     "marginal_additive_tv",
     "meta_condition_params",
     "parse_instance",
     "partition_big_small",
-    "tilde_ratio_R",
     "truncated_conditional",
     "Graph",
     "HardcoreModel",
@@ -89,7 +83,6 @@ __all__ = [
     "check_ising_condition",
     "check_uniqueness",
     "count_via_tv_queries",
-    "exact_conditional_partition",
     "exact_marginal_tv",
     "exact_partition",
     "exact_tv",
@@ -97,7 +90,5 @@ __all__ = [
     "pair_regime",
     "parameter_distance",
     "preprocess",
-    "sample",
-    "sample_marginal",
     "tv_lower_bound_constant",
 ]

@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -27,27 +26,33 @@ from .sampling import Sampler, SamplerConfig, active_kernel
 from .suites import SUITES, format_table, rows_to_csv, run_suite
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("GIBBS_TV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _sampler_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--c-mix", type=float, default=20.0,
+                        help="Glauber mixing multiplier")
+    parser.add_argument("--exact-sampler-cap", type=int, default=0,
+                        help="use enumeration sampling up to this many free vertices")
+    _json_flag(parser)
+
+
+def _counter_flags(parser: argparse.ArgumentParser) -> None:
+    _sampler_flags(parser)
+    parser.add_argument("--eps", type=float, default=0.1, help="target error")
+    parser.add_argument("--c-levels", type=float, default=4.0,
+                        help="annealing level multiplier")
+    parser.add_argument("--samples-per-level", type=float, default=16.0,
+                        help="annealing draws per level before the 1/eps^2 scale")
+    parser.add_argument("--boost-repeats", type=int, default=9,
+                        help="median-of-k repeats inside the counting oracle")
+    parser.add_argument("--exact-counter-cap", type=int, default=0,
+                        help="use enumeration counting up to this many vertices")
 
 
 def _estimator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="worker threads (default $GIBBS_TV_THREADS or 1)")
-    parser.add_argument("--eps", type=float, default=0.1, help="target error")
+    _counter_flags(parser)
     parser.add_argument("--mode", default="auto",
                         choices=["auto", "additive", "basic-relative", "advanced", "exact"])
-    parser.add_argument("--paper-strict", action="store_true",
-                        help="enforce every gate with the published asymptotic constants")
-    parser.add_argument("--c-mix", type=float, default=20.0,
-                        help="Glauber mixing multiplier")
-    parser.add_argument("--c-levels", type=float, default=4.0,
-                        help="annealing level multiplier")
     parser.add_argument("--t", type=int, default=4, help="truncation size")
     parser.add_argument("--kappa", type=float, default=None,
                         help="override the big/small field threshold")
@@ -63,57 +68,53 @@ def _estimator_flags(parser: argparse.ArgumentParser) -> None:
                         help="resolve pairs up to this size exactly in auto mode")
     parser.add_argument("--median-repeats", type=int, default=1,
                         help="amplify success probability by median-of-k runs")
-    parser.add_argument("--exact-sampler-cap", type=int, default=0,
-                        help="use enumeration sampling up to this many free vertices")
-    parser.add_argument("--exact-counter-cap", type=int, default=0,
-                        help="use enumeration counting up to this many vertices")
-    parser.add_argument("--samples-per-level", type=float, default=16.0,
-                        help="annealing draws per level before the 1/eps^2 scale")
-    parser.add_argument("--boost-repeats", type=int, default=9,
-                        help="median-of-k repeats inside the counting oracle")
-    _json_flag(parser)
 
 
 def _json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _budget(args) -> EstimatorBudget:
-    sampler = SamplerConfig(
+def _sampler_cfg(args) -> SamplerConfig:
+    return SamplerConfig(
         mixing_multiplier=args.c_mix,
         exact_fallback_cap=args.exact_sampler_cap,
     )
-    counter = CounterConfig(
+
+
+def _counter_cfg(args) -> CounterConfig:
+    return CounterConfig(
         levels_multiplier=args.c_levels,
         samples_per_level=args.samples_per_level,
         boost_repeats=args.boost_repeats,
         exact_fallback_cap=args.exact_counter_cap,
     )
+
+
+def _budget(args) -> EstimatorBudget:
     return EstimatorBudget(
-        epsilon=args.eps,
         mode=args.mode,
-        seed=args.seed,
-        sampler=sampler,
-        counter=counter,
+        sampler=_sampler_cfg(args),
+        counter=_counter_cfg(args),
         t=args.t,
         kappa_override=args.kappa,
         theta_override=args.theta,
         c_T=args.c_t,
         T_override=args.t_override,
         override_gates=args.override_gates,
-        paper_strict=args.paper_strict,
         exact_cap=args.exact_cap,
         median_repeats=args.median_repeats,
         threads=args.threads,
     )
 
 
-def _record(report: EstimateReport, mu, nu, budget: EstimatorBudget) -> RunRecord:
+def _record(
+    report: EstimateReport, mu, nu, budget: EstimatorBudget, seed: Optional[int]
+) -> RunRecord:
     return RunRecord(
         **dataclasses.asdict(report),
         mu_hash=instance_hash(mu),
         nu_hash=instance_hash(nu) if nu is not None else None,
-        seed=budget.seed,
+        seed=seed,
         config=dataclasses.asdict(budget),
     )
 
@@ -151,8 +152,8 @@ def cmd_tv(args) -> int:
     mu = load_instance(args.mu)
     nu = load_instance(args.nu)
     budget = _budget(args)
-    report = dispatch_tv(mu, nu, args.eps, budget)
-    record = _record(report, mu, nu, budget)
+    report = dispatch_tv(mu, nu, args.eps, budget, np.random.default_rng(args.seed))
+    record = _record(report, mu, nu, budget, args.seed)
     sys.stdout.write(record.to_json() if args.json else record.to_text())
     return 0
 
@@ -169,18 +170,18 @@ def cmd_marginal_tv(args) -> int:
             raise InputError(f"--subset references unknown vertex {lbl!r}")
         subset.append(index[lbl])
     budget = _budget(args)
-    report = marginal_additive_tv(mu, nu, subset, args.eps, budget)
-    record = _record(report, mu, nu, budget)
+    rng = np.random.default_rng(args.seed)
+    report = marginal_additive_tv(mu, nu, subset, args.eps, budget, rng)
+    record = _record(report, mu, nu, budget, args.seed)
     sys.stdout.write(record.to_json() if args.json else record.to_text())
     return 0
 
 
 def cmd_count(args) -> int:
     model = load_instance(args.instance)
-    budget = _budget(args)
     log_z = approx_count(
-        model, args.eps, budget.counter, budget.make_rng(), budget.sampler,
-        budget.threads,
+        model, args.eps, _counter_cfg(args), np.random.default_rng(args.seed),
+        _sampler_cfg(args), args.threads,
     )
     payload = {"log_z": log_z, "z": math.exp(log_z), "epsilon": args.eps}
     if args.json:
@@ -194,10 +195,9 @@ def cmd_sample(args) -> int:
     model = load_instance(args.instance)
     labels = _labels_of(args.instance)
     pin = _parse_pin(args.pin, labels)
-    budget = _budget(args)
-    sampler = Sampler(model, pin, budget.sampler)
-    rng = budget.make_rng()
-    batch = sampler.sample_batch(args.num, args.delta, rng, budget.threads)
+    sampler = Sampler(model, pin, _sampler_cfg(args))
+    rng = np.random.default_rng(args.seed)
+    batch = sampler.sample_batch(args.num, args.delta, rng, args.threads)
     if args.json:
         rows = [
             {labels[v]: int(row[v]) for v in range(model.n)} for row in batch
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="approximate the partition function")
     p.add_argument("instance")
-    _estimator_flags(p)
+    _counter_flags(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sample", help="draw configurations")
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--pin", default=None, help="comma list label=+1|-1")
     p.add_argument("--delta", type=float, default=0.05, help="sampling accuracy")
-    _estimator_flags(p)
+    _sampler_flags(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="print the regime report of one instance")

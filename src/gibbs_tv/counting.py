@@ -18,17 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exact
-from .errors import InfeasiblePinningError, InputError, MustPreprocessError
-from .errors import OracleError, TooLargeError
-from .models import (
-    HardcoreModel,
-    IsingModel,
-    NEG_INF,
-    Pinning,
-    SpinSystem,
-    contract_pinning,
-)
-from .sampling import Sampler, SamplerConfig, mixing_steps
+from .errors import InputError, MustPreprocessError, OracleError, TooLargeError
+from .models import HardcoreModel, IsingModel, SpinSystem, drop_zero_fields
+from .sampling import Sampler, SamplerConfig, chain_steps
 
 MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
 MAX_CHAIN_STEPS = 100_000_000_000  # refuse counts whose chains take more steps
@@ -70,14 +62,6 @@ class CounterConfig:
     def __post_init__(self):
         if min(self.levels_multiplier, self.samples_per_level) <= 0 or self.boost_repeats < 1:
             raise InputError("counter configuration values must be positive")
-
-
-def _strip_hardcore_zeros(model: HardcoreModel) -> HardcoreModel:
-    if model.is_soft:
-        return model
-    keep = [v for v in range(model.n) if model.lam[v] > 0]
-    sub, _ = model.graph.induced_subgraph(keep)
-    return HardcoreModel(sub, model.lam[keep])
 
 
 def counts_exactly(model: SpinSystem, cfg: CounterConfig) -> bool:
@@ -153,13 +137,15 @@ def approx_count(
     """
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
+    if threads < 1:
+        raise InputError(f"threads must be at least 1, got {threads}")
     cfg = cfg or CounterConfig()
     rng = rng if rng is not None else np.random.default_rng()
     sampler_cfg = sampler_cfg or SamplerConfig()
     if model.kind == "ising" and not model.is_soft:
         raise MustPreprocessError("counting needs a soft Ising model; preprocess first")
     if model.kind == "hardcore":
-        model = _strip_hardcore_zeros(model)
+        model, _ = drop_zero_fields(model)
     if model.n == 0:
         return 0.0  # Z = 1 either way: empty product / 2^0
     if counts_exactly(model, cfg):
@@ -169,9 +155,7 @@ def approx_count(
     )
     ell = num_levels(model, cfg)
     delta = min(0.5, epsilon / (20.0 * ell))
-    # no vertex is pinned, so every level's sampler enumerates when n is small
-    enumerates = model.n <= sampler_cfg.exact_fallback_cap
-    steps = 0 if enumerates else mixing_steps(model.n, delta, sampler_cfg)
+    steps = chain_steps(model.n, model.n, delta, sampler_cfg)  # no vertex is pinned
     check_budget(
         lambda: cfg.boost_repeats * ell * draws * steps, "the annealing counter",
         MAX_CHAIN_STEPS, "chain steps",
@@ -181,25 +165,3 @@ def approx_count(
         for child in rng.spawn(cfg.boost_repeats)
     ]
     return float(np.median(runs))
-
-
-def conditional_count(
-    model: SpinSystem,
-    pin: Optional[Pinning],
-    epsilon: float,
-    cfg: Optional[CounterConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-    sampler_cfg: Optional[SamplerConfig] = None,
-    threads: int = 1,
-) -> float:
-    """Estimate log Z^pin by contracting the pinning and counting the rest.
-
-    Infeasible pinnings yield -inf deterministically.
-    """
-    try:
-        reduced, _, log_const = contract_pinning(model, pin)
-    except InfeasiblePinningError:
-        return NEG_INF
-    if reduced.n == 0:
-        return log_const
-    return log_const + approx_count(reduced, epsilon, cfg, rng, sampler_cfg, threads)

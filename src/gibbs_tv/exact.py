@@ -121,6 +121,8 @@ class ExactDistribution:
 def distribution(
     model: SpinSystem, pin: Optional[Pinning] = None, cap: int = EXACT_CAP
 ) -> ExactDistribution:
+    """The distribution conditioned on ``pin``; its ``log_z`` is log of the
+    total weight of extensions of ``pin`` (-inf if there are none)."""
     configs = support_configs(model, pin, cap)
     if len(configs) == 0:
         return ExactDistribution(configs, np.empty(0), NEG_INF)
@@ -136,13 +138,6 @@ def distribution(
 def exact_partition(model: SpinSystem, cap: int = EXACT_CAP) -> float:
     """log Z by exhaustive enumeration."""
     return distribution(model, None, cap).log_z
-
-
-def exact_conditional_partition(
-    model: SpinSystem, pin: Optional[Pinning], cap: int = EXACT_CAP
-) -> float:
-    """log of the total weight of extensions of ``pin`` (-inf if infeasible)."""
-    return distribution(model, pin, cap).log_z
 
 
 def _union_support(mu: SpinSystem, nu: SpinSystem, cap: int) -> np.ndarray:

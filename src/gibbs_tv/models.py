@@ -402,6 +402,20 @@ def contract_pinning(
     return IsingModel(sub, new_j, new_h), kept, log_const
 
 
+def drop_zero_fields(model: HardcoreModel) -> tuple[HardcoreModel, list[int]]:
+    """The hardcore model on its nonzero-field vertices, and their labels.
+
+    Zero-field vertices are -1 in every configuration of positive weight, so
+    dropping them leaves the distribution on the rest and Z unchanged.  A
+    model with no zero field is returned as it is.
+    """
+    kept = [v for v in range(model.n) if model.lam[v] > 0]
+    if len(kept) == model.n:
+        return model, kept
+    sub, _ = model.graph.induced_subgraph(kept)
+    return HardcoreModel(sub, model.lam[kept]), kept
+
+
 def marginal_lower_bound(
     model: SpinSystem, free_degree_cap: int = FREE_DEGREE_CAP
 ) -> MarginalBound:
@@ -414,13 +428,7 @@ def marginal_lower_bound(
     neighbor against the coupling sign.
     """
     if model.kind == "hardcore":
-        keep = [v for v in range(model.n) if model.lam[v] > 0]
-        labels = keep
-        if len(keep) < model.n:
-            sub, _ = model.graph.induced_subgraph(keep)
-            work = HardcoreModel(sub, model.lam[keep])
-        else:
-            work = model
+        work, labels = drop_zero_fields(model)
         if work.n == 0:
             return MarginalBound(1.0, 1.0)
         lam = work.lam
@@ -534,18 +542,12 @@ def preprocess(mu: SpinSystem, nu: SpinSystem) -> PreprocessOutcome:
         if bool(np.any(zm != zn)):
             b = min(marginal_lower_bound(mu).b, marginal_lower_bound(nu).b)
             return PreprocessOutcome("big-gap", lower_bound=b)
-        kept = [v for v in range(n) if not zm[v]]
-        if len(kept) == 0:
+        if bool(np.all(zm)):
             return PreprocessOutcome("resolved", tv=0.0)
-        if len(kept) == n:
-            return PreprocessOutcome("soft-pair", mu=mu, nu=nu, kept=kept)
-        sub, _ = mu.graph.induced_subgraph(kept)
-        return PreprocessOutcome(
-            "soft-pair",
-            mu=HardcoreModel(sub, mu.lam[kept]),
-            nu=HardcoreModel(sub, nu.lam[kept]),
-            kept=kept,
-        )
+        mu2, kept = drop_zero_fields(mu)
+        if mu2 is not mu:
+            nu = HardcoreModel(mu2.graph, nu.lam[kept])
+        return PreprocessOutcome("soft-pair", mu=mu2, nu=nu, kept=kept)
 
     hm, hn = mu.h, nu.h
     inf_m, inf_n = ~np.isfinite(hm), ~np.isfinite(hn)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,8 +56,15 @@ class SamplerConfig:
             raise InputError("mixing_multiplier must be positive")
 
 
-def mixing_steps(n: int, delta: float, cfg: SamplerConfig) -> int:
-    """Glauber steps on ``n`` vertices for accuracy ``delta``: at least n."""
+def chain_steps(n: int, n_free: int, delta: float, cfg: SamplerConfig) -> int:
+    """Glauber steps per sample on ``n`` vertices, ``n_free`` of them free.
+
+    0 when nothing is free or the sampler enumerates instead
+    (``n_free <= exact_fallback_cap``); else ``ceil(C * n * ln(n/delta))``,
+    at least n.
+    """
+    if n_free == 0 or n_free <= cfg.exact_fallback_cap:
+        return 0
     return max(n, math.ceil(cfg.mixing_multiplier * n * math.log(n / delta)))
 
 
@@ -117,13 +124,10 @@ class Sampler:
         return self._exact is not None
 
     def steps_for(self, delta: float) -> int:
-        """Chain length for target accuracy delta: ceil(C * n * ln(n/delta))."""
+        """Chain length for target accuracy delta (see :func:`chain_steps`)."""
         if not 0 < delta < 1:
             raise InputError(f"delta must be in (0,1), got {delta}")
-        n = self.model.n
-        if n == 0 or len(self.free) == 0 or self.is_exact:
-            return 0
-        return mixing_steps(n, delta, self.cfg)
+        return chain_steps(self.model.n, len(self.free), delta, self.cfg)
 
     def _init_state(self, rng: np.random.Generator) -> np.ndarray:
         state = self.pins.copy()
@@ -146,10 +150,6 @@ class Sampler:
             _kernel.run_ising(g.indptr, g.indices, self.model.csr_j, self.model.h, state, sites, us)
         return state
 
-    def sample(self, delta: float, rng: np.random.Generator) -> np.ndarray:
-        """One configuration within TV distance ``delta`` of the pinned model."""
-        return self.sample_batch(1, delta, rng)[0]
-
     def sample_batch(
         self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
     ) -> np.ndarray:
@@ -159,6 +159,8 @@ class Sampler:
         chunk, so the result depends only on ``rng`` and ``count`` -- not on
         ``threads``.
         """
+        if threads < 1:
+            raise InputError(f"threads must be at least 1, got {threads}")
         n = self.model.n
         if count <= 0:
             return np.empty((0, n), dtype=np.int8)
@@ -187,32 +189,3 @@ class Sampler:
         else:
             parts = [run_chunk(t) for t in tasks]
         return np.vstack(parts)
-
-
-def sample(
-    model: SpinSystem,
-    pin: Optional[Pinning],
-    delta: float,
-    cfg: Optional[SamplerConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """One-shot sampling oracle call (build a :class:`Sampler` for loops)."""
-    rng = rng if rng is not None else np.random.default_rng()
-    return Sampler(model, pin, cfg).sample(delta, rng)
-
-
-def sample_marginal(
-    model: SpinSystem,
-    subset: Iterable[int],
-    delta: float,
-    cfg: Optional[SamplerConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> dict[int, int]:
-    """Projection of a full sample to ``subset`` (projection never grows TV)."""
-    sub = sorted(set(int(v) for v in subset))
-    if any(not 0 <= v < model.n for v in sub):
-        raise InputError("subset references vertices outside the graph")
-    if not sub:
-        return {}
-    full = sample(model, None, delta, cfg, rng)
-    return {v: int(full[v]) for v in sub}

@@ -4,18 +4,19 @@ import time
 import numpy as np
 import pytest
 
+from gibbs_tv import exact
+from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.counting import (
     CounterConfig,
     approx_count,
-    conditional_count,
     counts_exactly,
     num_levels,
     _level_model,
 )
 from gibbs_tv.cli import main
 from gibbs_tv.errors import InputError, MustPreprocessError, TooLargeError
-from gibbs_tv.estimators import EstimatorBudget, dispatch_tv
-from gibbs_tv.exact import distribution, exact_partition
+from gibbs_tv.estimators import EstimatorBudget, _Runtime, dispatch_tv
+from gibbs_tv.exact import deg2_partition, distribution, exact_partition
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.instances import emit_instance
 from gibbs_tv.models import HardcoreModel, IsingModel
@@ -111,20 +112,31 @@ def test_whole_count_cost_fails_fast(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _runtime(cfg, rng):
+    return _Runtime(EstimatorBudget(sampler=EXACT_SAMPLER, counter=cfg), rng)
+
+
 def test_conditional_count(rng):
+    """The estimators' one count path contracts the pinning, then counts."""
     edge = HardcoreModel(Graph(2, [(0, 1)]), [1.0, 1.0])
-    cfg = CounterConfig(boost_repeats=1)
-    est = conditional_count(edge, {0: 1}, 0.1, cfg, rng, EXACT_SAMPLER)
+    rt = _runtime(CounterConfig(boost_repeats=1), rng)
+    est = rt.count(edge, 0.1, {0: 1})
     assert math.exp(est) == pytest.approx(1.0, rel=1e-9)
     # fully pinned: exact log-weight, no sampling at all
-    full = conditional_count(edge, {0: 1, 1: -1}, 0.1, cfg, rng, EXACT_SAMPLER)
+    full = rt.count(edge, 0.1, {0: 1, 1: -1})
     assert full == pytest.approx(0.0)
     # infeasible: deterministic -inf
-    assert conditional_count(edge, {0: 1, 1: 1}, 0.1, cfg, rng) == -math.inf
+    assert rt.count(edge, 0.1, {0: 1, 1: 1}) == -math.inf
+    assert rt.counter_calls == 3
     # empty pinning matches plain counting
-    got = conditional_count(edge, {}, 0.1, CounterConfig(exact_fallback_cap=5),
-                            rng, EXACT_SAMPLER)
-    assert got == exact_partition(edge)
+    rt = _runtime(CounterConfig(exact_fallback_cap=5), rng)
+    assert rt.count(edge, 0.1, {}) == exact_partition(edge)
+    # an exact count is not boosted; a chain-backed one is, 2 ceil(ln 20) + 1 times
+    assert rt.count(edge, 0.1, {}, delta=0.05) == exact_partition(edge)
+    rt = _runtime(CounterConfig(boost_repeats=1), rng)
+    p3 = HardcoreModel(path_graph(3), np.ones(3))
+    assert math.exp(rt.count(p3, 0.1, {0: -1}, delta=0.05)) == pytest.approx(3.0, rel=0.1)
+    assert rt.counter_calls == 7
 
 
 def test_telescoping_identity_exact_expectations(rng):
@@ -160,6 +172,45 @@ def test_conditional_count_empty_pin_matches_plain():
     returns the same estimate as plain counting."""
     model = HardcoreModel(path_graph(4), np.full(4, 0.8))
     cfg = CounterConfig(boost_repeats=2)
-    a = conditional_count(model, {}, 0.2, cfg, np.random.default_rng(3), EXACT_SAMPLER)
+    a = _runtime(cfg, np.random.default_rng(3)).count(model, 0.2, {})
     b = approx_count(model, 0.2, cfg, np.random.default_rng(3), EXACT_SAMPLER)
     assert a == b
+
+
+@pytest.mark.parametrize("name", ["hardcore-path", "hardcore-cycle", "ising"])
+def test_annealing_count_on_chains(monkeypatch, name):
+    """With both exact caps at 0 the count runs Glauber chains on every
+    level and lands within eps of the exact log Z: transfer matrices on a
+    path and a cycle of 16, enumeration on an Ising graph of 10."""
+    rng = np.random.default_rng(5)
+    if name == "ising":
+        g = random_graph(10, 0.3, rng)
+        model = IsingModel(g, {e: float(rng.uniform(-0.3, 0.3)) for e in g.edges},
+                           rng.uniform(-0.5, 0.5, 10))
+        log_z = exact_partition(model)
+    else:
+        g = path_graph(16) if name == "hardcore-path" else cycle_graph(16)
+        lam = rng.uniform(0.3, 1.0, 16)
+        model = HardcoreModel(g, lam)
+        log_z = math.log(deg2_partition(g, lam))
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the count enumerated")
+
+    steps = []
+    kernel = sampling_mod._kernel
+    run = {"hardcore": kernel.run_hardcore, "ising": kernel.run_ising}[model.kind]
+
+    def counted(*args):
+        steps.append(len(args[-1]))  # run_*(..., state, sites, us)
+        return run(*args)
+
+    monkeypatch.setattr(exact, "distribution", no_enumeration)
+    monkeypatch.setattr(kernel, f"run_{model.kind}", counted)
+    cfg = CounterConfig(samples_per_level=4, boost_repeats=3, exact_fallback_cap=0)
+    sampler_cfg = SamplerConfig(exact_fallback_cap=0)
+    eps = 0.3
+    for seed in (0, 1, 2):
+        got = approx_count(model, eps, cfg, np.random.default_rng(seed), sampler_cfg)
+        assert abs(got - log_z) <= eps
+    assert sum(steps) > 0

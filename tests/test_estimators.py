@@ -8,24 +8,22 @@ from gibbs_tv.counting import CounterConfig
 from gibbs_tv.errors import GateError, InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.estimators import (
     EstimatorBudget,
+    _f_hat_from,
+    _field_ratio,
+    _Runtime,
+    _tilde_ratio,
+    _TruncStore,
     additive_tv,
     advanced_relative_tv,
     basic_relative_tv,
     dispatch_tv,
     eta_truncation_bound,
-    f_hat,
     marginal_additive_tv,
     meta_condition_params,
     partition_big_small,
-    tilde_ratio_R,
     truncated_conditional,
 )
-from gibbs_tv.exact import (
-    exact_conditional_partition,
-    exact_marginal_tv,
-    exact_partition,
-    exact_tv,
-)
+from gibbs_tv.exact import distribution, exact_marginal_tv, exact_partition, exact_tv
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel, marginal_lower_bound
 from gibbs_tv.sampling import SamplerConfig
@@ -42,6 +40,18 @@ def adv_budget(**kw):
     )
     defaults.update(kw)
     return EstimatorBudget(**defaults)
+
+
+def tilde_ratio(mu, nu, part, tcount, rng):
+    """advanced_relative_tv's ratio step: Z_nu/Z_mu from tcount big-side samples."""
+    store = _TruncStore(mu, nu, part, 4)
+    return _tilde_ratio(mu, nu, store, _Runtime(adv_budget(), rng), tcount)
+
+
+def f_hat(mu, nu, part, r_tilde, x):
+    """advanced_relative_tv's per-pinning TV contribution, truncated at t = 4."""
+    tc = truncated_conditional(mu, nu, part, x, 4)
+    return _f_hat_from(tc, _field_ratio(mu, nu, tc.x_plus), r_tilde)
 
 
 def test_additive_identical_pair(exact_budget, rng):
@@ -192,7 +202,7 @@ def test_truncated_conditional():
     assert tc0.z_mu == 1.0 and tc0.z_nu == 1.0 and tc0.sets == ((),)
 
     tc_full = truncated_conditional(mu, nu, part, x, len(part.small))
-    log_z = exact_conditional_partition(mu, {v: -1 for v in part.big})
+    log_z = distribution(mu, {v: -1 for v in part.big}).log_z
     # conditional partition of the small side: divide out nothing (all big -1)
     assert math.log(tc_full.z_mu) == pytest.approx(log_z, abs=1e-10)
 
@@ -216,7 +226,7 @@ def test_f_hat_identical_pair_vanishes():
     mu, _ = _mixed_pair()
     part = partition_big_small(mu, mu, 0.25, adv_budget())
     x = {v: -1 for v in part.big}
-    assert f_hat(mu, mu, part, 4, 1.0, x) == 0.0
+    assert f_hat(mu, mu, part, 1.0, x) == 0.0
 
 
 def test_f_hat_empty_small_side():
@@ -229,7 +239,7 @@ def test_f_hat_empty_small_side():
     r = 1.0
     ratio = nu.lam[0] / mu.lam[0]
     expected = 0.5 * abs(ratio / r - 1.0)
-    assert f_hat(mu, nu, part, 4, r, x) == pytest.approx(expected, rel=1e-12)
+    assert f_hat(mu, nu, part, r, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eta_truncation_bound():
@@ -241,10 +251,7 @@ def test_eta_truncation_bound():
 def test_tilde_ratio_identical_pair(rng):
     mu, _ = _mixed_pair()
     part = partition_big_small(mu, mu, 0.25, adv_budget())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r = tilde_ratio_R(mu, mu, part, 4, 0.25, adv_budget(T_override=500), rng)
-    assert r == 1.0
+    assert tilde_ratio(mu, mu, part, 500, rng) == 1.0
 
 
 def test_tilde_ratio_all_big(rng):
@@ -254,18 +261,16 @@ def test_tilde_ratio_all_big(rng):
     part = partition_big_small(mu, nu, 0.25, adv_budget())
     assert part.small == ()
     truth = math.exp(exact_partition(nu) - exact_partition(mu))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r = tilde_ratio_R(mu, nu, part, 4, 0.25, adv_budget(T_override=40000), rng)
+    r = tilde_ratio(mu, nu, part, 40000, rng)
     assert r == pytest.approx(truth, abs=3e-5)
 
 
 def test_tilde_ratio_gate_errors(rng):
+    """The truncation gates are checked before the ratio step draws."""
     mu, nu = _mixed_pair()
-    part = partition_big_small(mu, nu, 0.25, adv_budget())
-    strict = adv_budget(override_gates=False)
-    with pytest.raises(GateError):
-        tilde_ratio_R(mu, nu, part, 4, 0.25, strict, rng)
+    strict = adv_budget(override_gates=False, T_override=500)
+    with pytest.raises(GateError, match="advanced-estimator gates failed"):
+        advanced_relative_tv(mu, nu, 0.25, strict, rng)
 
 
 def test_advanced_identical_pair(rng):
@@ -341,7 +346,6 @@ def test_dispatch_branches(rng, exact_budget):
         sampler=SamplerConfig(exact_fallback_cap=20),
         counter=CounterConfig(exact_fallback_cap=20),
         exact_cap=0,
-        epsilon=0.5,
         T_override=20000,
     )
     far = dispatch_tv(m, HardcoreModel(path_graph(3), [1.0, 1.8, 1.0]), 0.5, bud, rng)
@@ -400,8 +404,9 @@ def test_dispatch_median_repeats(rng, exact_budget):
 
 
 def test_budget_validation():
+    m = HardcoreModel(Graph(1), [1.0])
     with pytest.raises(InputError):
-        EstimatorBudget(epsilon=1.5)
+        dispatch_tv(m, m, 1.5, EstimatorBudget())
     with pytest.raises(InputError):
         EstimatorBudget(mode="nope")
     with pytest.raises(InputError):
@@ -460,15 +465,9 @@ def test_truncation_sandwich(rng):
 def test_tilde_ratio_single_vertex_accuracy(rng):
     a = HardcoreModel(Graph(1), [1.0])
     b = HardcoreModel(Graph(1), [1.001])
-    bud = adv_budget(theta_override=1e-2, T_override=200000)
-    part = partition_big_small(a, b, 0.25, bud)
+    part = partition_big_small(a, b, 0.25, adv_budget(theta_override=1e-2))
     assert part.small == ()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals = [
-            tilde_ratio_R(a, b, part, 4, 0.25, bud, child)
-            for child in rng.spawn(5)
-        ]
+    vals = [tilde_ratio(a, b, part, 200000, child) for child in rng.spawn(5)]
     for v in vals:
         assert abs(v - 2.001 / 2.0) <= 1e-4
 
@@ -527,28 +526,25 @@ def test_additive_with_glauber_sampler(rng):
     assert hits >= 7
 
 
-def test_paper_strict_rejects_overrides(rng):
-    """paper_strict evaluates gates with the literal constants and ignores
-    every override."""
+def test_literal_constants_gate_without_overrides(rng):
+    """A budget that sets no override evaluates the advanced gates with the
+    published constants."""
     g = Graph(2, [(0, 1)])
     mu = HardcoreModel(g, [0.5, 0.5])
     nu = HardcoreModel(g, [0.5001, 0.5])
-    strict = EstimatorBudget(
-        paper_strict=True,
-        theta_override=1.0,     # ignored
-        kappa_override=1.0,     # ignored
-        override_gates=True,  # ignored
-    )
+    literal = EstimatorBudget()
     # paper theta = 1e-10 eps^(1/4) / n^(5/2) is far below d_par = 1e-4
-    with pytest.raises(GateError):
-        partition_big_small(mu, nu, 0.25, strict)
+    with pytest.raises(GateError, match="advanced threshold"):
+        partition_big_small(mu, nu, 0.25, literal)
+    # the overrides let the same pair through
+    overridden = EstimatorBudget(theta_override=1e-3, kappa_override=1e-2, override_gates=True)
+    assert partition_big_small(mu, nu, 0.25, overridden).big == (0, 1)
 
-    # a genuinely below-threshold pair passes the gate but hits the
-    # paper-shaped draw count (T_override is ignored as well)
+    # a pair below the literal threshold passes the split but fails the
+    # truncation gates, which only override_gates demotes
     nu2 = HardcoreModel(g, [0.5 + 1e-16, 0.5])
-    strict2 = EstimatorBudget(paper_strict=True, T_override=10)
-    with pytest.raises((GateError, TooLargeError)):
-        advanced_relative_tv(mu, nu2, 0.25, strict2, rng)
+    with pytest.raises(GateError, match="gates failed"):
+        advanced_relative_tv(mu, nu2, 0.25, literal, rng)
 
 
 def test_advanced_with_glauber_sampler(rng):

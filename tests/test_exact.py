@@ -9,7 +9,6 @@ from gibbs_tv.exact import (
     deg2_partition,
     deg2_plus_marginal,
     distribution,
-    exact_conditional_partition,
     exact_marginal_tv,
     exact_partition,
     exact_tv,
@@ -36,9 +35,9 @@ def test_exact_partition_cap():
 
 def test_conditional_partition():
     edge = HardcoreModel(Graph(2, [(0, 1)]), [1.0, 1.0])
-    assert exact_conditional_partition(edge, None) == exact_partition(edge)
-    assert math.exp(exact_conditional_partition(edge, {0: 1})) == pytest.approx(1.0)
-    assert exact_conditional_partition(edge, {0: 1, 1: 1}) == -math.inf
+    assert distribution(edge, None).log_z == exact_partition(edge)
+    assert math.exp(distribution(edge, {0: 1}).log_z) == pytest.approx(1.0)
+    assert distribution(edge, {0: 1, 1: 1}).log_z == -math.inf
 
 
 def test_distribution_probabilities_sum_to_one(rng):

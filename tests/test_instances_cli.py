@@ -205,21 +205,16 @@ def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys):
     assert main(["marginal-tv", pa, pb, "--subset", "b", "--t-override", "0"]) == 2
     assert main(["tv", pa, pb, "--mode", "additive", "--t-override", "0"]) == 2
     assert main(["tv", pa, pb, "--threads", "0"]) == 2
+    assert main(["sample", pa, "--threads", "0"]) == 2
+    assert main(["count", pa, "--exact-counter-cap", "20", "--threads", "0"]) == 2
     capsys.readouterr()
     # subcommands register only the flags they read
-    with pytest.raises(SystemExit):
-        main(["check", pa, "--eps", "0.1"])
+    for argv in (["check", pa, "--eps", "0.1"], ["sample", pa, "--mode", "advanced"],
+                 ["sample", pa, "--eps", "0.1"], ["count", pa, "--t-override", "5"]):
+        with pytest.raises(SystemExit):
+            main(argv)
     capsys.readouterr()
-
-
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("GIBBS_TV_THREADS", "4")
-    parser = build_parser()
-    args = parser.parse_args(["tv", "a", "b"])
-    assert args.threads == 4
-    monkeypatch.setenv("GIBBS_TV_THREADS", "junk")
-    args = build_parser().parse_args(["tv", "a", "b"])
-    assert args.threads == 1
+    assert build_parser().parse_args(["tv", "a", "b"]).threads == 1
 
 
 def test_run_record_fields(tmp_path, capsys):
@@ -240,12 +235,23 @@ def test_parse_instance_accepts_stream():
     assert model.kind == "hardcore" and model.n == 2
 
 
-def test_cli_paper_strict_and_bad_subset(tmp_path, capsys):
-    pa, pb, *_ = _write_pair(tmp_path)
-    rc = main(["tv", pa, pb, "--mode", "advanced", "--paper-strict",
-               "--exact-cap", "0"])
+def test_cli_literal_constants_and_bad_subset(tmp_path, capsys):
+    g = Graph(2, [(0, 1)])
+    paths = []
+    for name, lam in (("mu", [0.5, 0.5]), ("nu", [0.5001, 0.5])):
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(emit_instance(HardcoreModel(g, lam)))
+    args = ["tv", *paths, "--mode", "advanced", "--exact-cap", "0",
+            "--exact-sampler-cap", "20", "--exact-counter-cap", "20"]
+    overrides = ["--theta", "1e-3", "--kappa", "1e-2", "--override-gates",
+                 "--t-override", "100"]
+    with pytest.warns(RuntimeWarning, match="gates overridden"):
+        assert main(args + overrides) == 0
+    rc = main(args)
     capsys.readouterr()
-    assert rc == 3  # the literal advanced threshold gates this pair out
+    assert rc == 3  # without overrides the literal advanced threshold gates the pair out
+
+    pa, pb, *_ = _write_pair(tmp_path)
 
     rc = main(["marginal-tv", pa, pb, "--subset", "zzz"])
     capsys.readouterr()

@@ -18,8 +18,8 @@ from gibbs_tv.sampling import (
     Sampler,
     SamplerConfig,
     active_kernel,
+    chain_steps,
     conditional_plus_probability,
-    sample_marginal,
 )
 
 
@@ -29,9 +29,11 @@ def compiled_chain():
     return pytest.importorskip("gibbs_tv._chain")
 
 
-def test_config_validation():
+def test_config_validation(rng):
     with pytest.raises(InputError):
         SamplerConfig(mixing_multiplier=0.0)
+    with pytest.raises(InputError, match="threads"):
+        Sampler(HardcoreModel(Graph(1), [1.0])).sample_batch(4, 0.1, rng, threads=0)
 
 
 def test_steps_at_least_n():
@@ -40,6 +42,12 @@ def test_steps_at_least_n():
     assert s.steps_for(0.5) >= 5
     with pytest.raises(InputError):
         s.steps_for(1.5)
+    # no chain where the sampler enumerates or nothing is free
+    cfg = SamplerConfig(exact_fallback_cap=3)
+    assert chain_steps(5, 3, 0.5, cfg) == 0 and chain_steps(5, 4, 0.5, cfg) > 0
+    assert Sampler(model, {0: -1, 1: -1}, cfg).steps_for(0.5) == 0
+    assert Sampler(model, {0: -1}, cfg).steps_for(0.5) == chain_steps(5, 4, 0.5, cfg)
+    assert Sampler(model, {v: -1 for v in range(5)}).steps_for(0.5) == 0
 
 
 def test_single_vertex_marginal(rng):
@@ -77,8 +85,6 @@ def test_p3_distribution_close_to_uniform(rng):
 
 def test_sample_marginal(rng):
     model = HardcoreModel(path_graph(3), np.ones(3))
-    assert sample_marginal(model, [], 0.1, rng=rng) == {}
-    hits = 0
     n_draws = 100_000
     s = Sampler(model)
     batch = s.sample_batch(n_draws, 0.01, rng)
