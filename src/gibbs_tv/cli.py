@@ -58,8 +58,6 @@ def _estimator_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the big/small field threshold")
     parser.add_argument("--theta", type=float, default=None,
                         help="override the advanced-path distance threshold")
-    parser.add_argument("--c-t", type=float, default=1.0,
-                        help="multiplier on the analytical sample-count formulas")
     parser.add_argument("--t-override", type=int, default=None,
                         help="replace relative-estimator sample counts outright")
     parser.add_argument("--override-gates", action="store_true",
@@ -98,7 +96,6 @@ def _budget(args) -> EstimatorBudget:
         t=args.t,
         kappa_override=args.kappa,
         theta_override=args.theta,
-        c_T=args.c_t,
         T_override=args.t_override,
         override_gates=args.override_gates,
         exact_cap=args.exact_cap,

@@ -2,8 +2,9 @@
 
 Everything here is deterministic and works in log space; linear-space sums
 (TV distances, probability masses) use compensated summation via
-``math.fsum``.  Hardcore supports are enumerated by a DFS over independent
-sets rather than all 2^n configurations, which raises the practical cap.
+``math.fsum``.  Hardcore supports are enumerated over independent sets
+(:meth:`Graph.independent_sets`) rather than all 2^n configurations, which
+raises the practical cap.
 """
 
 from __future__ import annotations
@@ -40,47 +41,24 @@ def _independent_configs(graph: Graph, allow_plus: np.ndarray, pins: np.ndarray)
     ``allow_plus[v]`` False forces v to -1 (unless pinned +1, which yields an
     empty result only if it conflicts with independence; zero-weight pins are
     the caller's concern).  Returns an int8 matrix with one row per
-    configuration.
+    configuration, in the order of :meth:`Graph.independent_sets` over the
+    vertices that may still turn +1.
     """
     n = graph.n
-    state = np.full(n, -1, dtype=np.int8)
-    plus_ok = allow_plus.copy()
-    for v in range(n):
-        if pins[v] == 1:
-            plus_ok[v] = True
-    # pinned +1 vertices must themselves be independent
-    pinned_plus = [v for v in range(n) if pins[v] == 1]
+    pinned_plus = np.flatnonzero(pins == 1)
     if not graph.is_independent_set(pinned_plus):
         return np.empty((0, n), dtype=np.int8)
-    blocked = np.zeros(n, dtype=np.int32)
+    eligible = (pins == 0) & allow_plus
     for v in pinned_plus:
-        state[v] = 1
-        for u in graph.neighbors(v):
-            blocked[u] += 1
-    if any(pins[v] == 1 and blocked[v] > 0 for v in range(n)):
-        return np.empty((0, n), dtype=np.int8)
-    free = [v for v in range(n) if pins[v] == 0]
-    out: list[np.ndarray] = []
-
-    def walk(i: int) -> None:
-        if i == len(free):
-            out.append(state.copy())
-            return
-        v = free[i]
-        walk(i + 1)  # v stays -1
-        if plus_ok[v] and blocked[v] == 0:
-            state[v] = 1
-            for u in graph.neighbors(v):
-                blocked[u] += 1
-            walk(i + 1)
-            state[v] = -1
-            for u in graph.neighbors(v):
-                blocked[u] -= 1
-
-    walk(0)
-    if not out:
-        return np.empty((0, n), dtype=np.int8)
-    return np.vstack(out)
+        eligible[graph.neighbors(v)] = False
+    sizes: list[int] = []
+    cols: list[int] = []
+    for s in graph.independent_sets(np.flatnonzero(eligible)):
+        sizes.append(len(s))
+        cols.extend(s)
+    configs = np.tile(np.where(pins == 1, 1, -1).astype(np.int8), (len(sizes), 1))
+    configs[np.repeat(np.arange(len(sizes)), sizes), cols] = 1
+    return configs
 
 
 def _all_configs(n: int, pins: np.ndarray) -> np.ndarray:
@@ -97,15 +75,12 @@ def support_configs(
     model: SpinSystem,
     pin: Optional[Pinning] = None,
     cap: int = EXACT_CAP,
-    allow_plus: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Configurations that can carry positive weight (a superset for Ising)."""
     _check_cap(model.n, cap)
     pins = pin_array(pin, model.n)
     if model.kind == "hardcore":
-        if allow_plus is None:
-            allow_plus = model.lam > 0
-        return _independent_configs(model.graph, allow_plus, pins)
+        return _independent_configs(model.graph, model.lam > 0, pins)
     return _all_configs(model.n, pins)
 
 

@@ -8,7 +8,7 @@ single-site updates are O(log degree), and the CSR arrays (``indptr``,
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -83,6 +83,43 @@ class Graph:
             if not 0 <= v < self.n:
                 raise InputError(f"vertex {v} outside 0..{self.n - 1}")
         return all(not (u in sset and v in sset) for u, v in self._edges)
+
+    def independent_sets(
+        self, vertices: Iterable[int], max_size: Optional[int] = None
+    ) -> Iterator[tuple[int, ...]]:
+        """Independent sets of the subgraph induced on ``vertices``, as ascending tuples.
+
+        Exclude-first order: read as binary numbers with the lowest vertex as
+        the most significant bit, the sets come in increasing order, starting
+        with the empty set.  Sets larger than ``max_size`` are never built.
+        """
+        order = sorted(set(int(v) for v in vertices))
+        for v in order:
+            if not 0 <= v < self.n:
+                raise InputError(f"vertex {v} outside 0..{self.n - 1}")
+        k = len(order)
+        cap = k if max_size is None else max_size
+        pos = {v: i for i, v in enumerate(order)}
+        # neighbours within ``order``, as bitmasks over positions
+        nbr = [0] * k
+        for i, v in enumerate(order):
+            for u in self.neighbors(v):
+                j = pos.get(int(u))
+                if j is not None:
+                    nbr[i] |= 1 << j
+        # Pre-order walk where each set's children add one later position; the
+        # last position is pushed last so that it is expanded first.  ``free``
+        # holds the positions a set may still add.
+        stack = [((), (1 << k) - 1)]
+        while stack:
+            s, free = stack.pop()
+            yield s
+            if len(s) < cap:
+                while free:
+                    low = free & -free
+                    j = low.bit_length() - 1
+                    free ^= low
+                    stack.append((s + (order[j],), free & ~nbr[j]))
 
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph on ``keep`` plus the old->new relabeling bijection."""

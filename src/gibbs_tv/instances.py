@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InstanceFormatError
+from .estimators import EstimateReport
 from .graph import Graph
 from .models import HardcoreModel, IsingModel, SpinSystem
 
@@ -180,21 +181,11 @@ def instance_hash(model: SpinSystem) -> str:
     return hashlib.sha256(emit_instance(model).encode()).hexdigest()
 
 
-@dataclass
-class RunRecord:
-    """One estimator invocation: result, inputs, and everything to replay it."""
+@dataclass(kw_only=True)
+class RunRecord(EstimateReport):
+    """One estimator invocation: the report, its inputs, and everything to
+    replay it."""
 
-    estimate: float
-    error_kind: str
-    branch: str
-    epsilon: float
-    d_par: Optional[float]
-    theta: Optional[float]
-    b: Optional[float]
-    c_tv_par: Optional[float]
-    samples_used: int
-    counter_calls: int
-    elapsed: float
     mu_hash: str
     nu_hash: Optional[str]
     seed: Optional[int]

@@ -12,8 +12,8 @@ eliminates infinite fields (and hardcore zero fields) first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,16 +31,6 @@ from .graph import Graph
 NEG_INF = float("-inf")
 
 Pinning = Mapping[int, int]
-
-
-def as_configuration(sigma: Union[np.ndarray, Iterable[int]], n: int) -> np.ndarray:
-    """Validate and convert to an int8 array of +-1 spins of length ``n``."""
-    arr = np.asarray(sigma, dtype=np.int8)
-    if arr.shape != (n,):
-        raise DimensionMismatchError(f"configuration has shape {arr.shape}, expected ({n},)")
-    if arr.size and not np.all(np.abs(arr) == 1):
-        raise InputError("configuration entries must be +1 or -1")
-    return arr
 
 
 def pin_array(pin: Optional[Pinning], n: int) -> np.ndarray:
@@ -88,10 +78,6 @@ class HardcoreModel:
     @property
     def is_soft(self) -> bool:
         return bool(np.all(self.lam > 0))
-
-    def log_weight(self, sigma: Union[np.ndarray, Iterable[int]]) -> float:
-        sigma = as_configuration(sigma, self.n)
-        return float(self.log_weight_batch(sigma[None, :])[0])
 
     def log_weight_batch(self, configs: np.ndarray) -> np.ndarray:
         """Log weights for a (batch, n) array of +-1 configurations."""
@@ -170,16 +156,9 @@ class IsingModel:
     def is_soft(self) -> bool:
         return bool(np.all(np.isfinite(self.h)))
 
-    def coupling(self, u: int, v: int) -> float:
-        return self._j[(min(u, v), max(u, v))]
-
     @property
     def couplings(self) -> dict[tuple[int, int], float]:
         return dict(self._j)
-
-    def log_weight(self, sigma: Union[np.ndarray, Iterable[int]]) -> float:
-        sigma = as_configuration(sigma, self.n)
-        return float(self.log_weight_batch(sigma[None, :])[0])
 
     def log_weight_batch(self, configs: np.ndarray) -> np.ndarray:
         if configs.ndim != 2 or configs.shape[1] != self.n:
@@ -296,40 +275,23 @@ def check_ising_condition(model: IsingModel) -> Optional[IsingCondition]:
 
 @dataclass(frozen=True)
 class MarginalBound:
-    """Tight marginal lower bound b with the per-vertex quantities behind it."""
+    """Tight marginal lower bound b and the worst-case minus marginal behind it."""
 
     b: float
     minus_bound: float  # worst-case P(v = -1): 1/(1+max lambda) or Ising analogue
-    per_vertex: dict[int, float] = field(default_factory=dict)
 
 
 FREE_DEGREE_CAP = 24
 
 
-def _neighborhood_partition(graph: Graph, lam: np.ndarray, v: int) -> float:
+def _neighborhood_partition(graph: Graph, lam: Sequence[float], v: int) -> float:
     """Total hardcore weight of independent subsets of N(v), empty set included."""
-    neigh = [int(u) for u in graph.neighbors(v)]
-    k = len(neigh)
-    pos = {u: i for i, u in enumerate(neigh)}
-    # adjacency restricted to the neighborhood, as bitmasks
-    masks = [0] * k
-    for i, u in enumerate(neigh):
-        for w in graph.neighbors(u):
-            j = pos.get(int(w))
-            if j is not None:
-                masks[i] |= 1 << j
     total = 0.0
-
-    def walk(i: int, blocked: int, weight: float) -> None:
-        nonlocal total
-        if i == k:
-            total += weight
-            return
-        walk(i + 1, blocked, weight)
-        if not (blocked >> i) & 1:
-            walk(i + 1, blocked | masks[i], weight * lam[neigh[i]])
-
-    walk(0, 0, 1.0)
+    for s in graph.independent_sets(graph.neighbors(v)):
+        weight = 1.0
+        for u in s:
+            weight *= lam[u]
+        total += weight
     return total
 
 
@@ -428,40 +390,36 @@ def marginal_lower_bound(
     neighbor against the coupling sign.
     """
     if model.kind == "hardcore":
-        work, labels = drop_zero_fields(model)
+        work, _ = drop_zero_fields(model)
         if work.n == 0:
             return MarginalBound(1.0, 1.0)
         lam = work.lam
         minus_bound = 1.0 / (1.0 + float(np.max(lam)))
-        per_vertex: dict[int, float] = {}
+        b = minus_bound
+        lam_list = lam.tolist()  # float products, without numpy scalar overhead
         for v in range(work.n):
             if work.graph.degree(v) > free_degree_cap:
                 raise TooLargeError(
                     f"free degree {work.graph.degree(v)} exceeds enumeration cap "
                     f"{free_degree_cap}"
                 )
-            z_n = _neighborhood_partition(work.graph, lam, v)
-            per_vertex[labels[v]] = lam[v] / (lam[v] + z_n)
-        b = min(minus_bound, min(per_vertex.values()))
-        return MarginalBound(b, minus_bound, per_vertex)
+            z_n = _neighborhood_partition(work.graph, lam_list, v)
+            b = min(b, lam[v] / (lam[v] + z_n))
+        return MarginalBound(b, minus_bound)
 
-    work, kept, _ = contract_pinning(model, None)
+    work, _, _ = contract_pinning(model, None)
     if work.n == 0:
         return MarginalBound(1.0, 1.0)
-    per_vertex = {}
-    worst_minus = 1.0
+    b = worst_minus = 1.0
     for v in range(work.n):
         j_abs = float(np.sum(np.abs(work.csr_j[work.graph.indptr[v] : work.graph.indptr[v + 1]])))
-        best = 1.0
         for c in (1, -1):
             x = work.h[v] * c - j_abs  # log g(v, c)
             p = 1.0 / (1.0 + math.exp(-2.0 * x)) if x > -350 else 0.0
-            best = min(best, p)
+            b = min(b, p)
             if c == -1:
                 worst_minus = min(worst_minus, p)
-        per_vertex[kept[v]] = best
-    b = min(per_vertex.values())
-    return MarginalBound(b, worst_minus, per_vertex)
+    return MarginalBound(b, worst_minus)
 
 
 @dataclass(frozen=True)

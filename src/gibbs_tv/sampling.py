@@ -161,16 +161,16 @@ class Sampler:
         """
         if threads < 1:
             raise InputError(f"threads must be at least 1, got {threads}")
+        if count < 0:
+            raise InputError(f"sample count must be nonnegative, got {count}")
+        steps = self.steps_for(delta)  # validates delta on every path
         n = self.model.n
-        if count <= 0:
+        if count == 0:
             return np.empty((0, n), dtype=np.int8)
         if self._exact is not None:
             configs, probs = self._exact
             idx = rng.choice(len(probs), size=count, p=probs)
             return configs[idx]
-        if not 0 < delta < 1:
-            raise InputError(f"delta must be in (0,1), got {delta}")
-        steps = self.steps_for(delta)
         n_chunks = (count + _CHUNK - 1) // _CHUNK
         children = rng.spawn(n_chunks)
 

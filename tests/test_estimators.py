@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from gibbs_tv.estimators import (
     _field_ratio,
     _Runtime,
     _tilde_ratio,
-    _TruncStore,
     additive_tv,
     advanced_relative_tv,
     basic_relative_tv,
@@ -44,13 +44,15 @@ def adv_budget(**kw):
 
 def tilde_ratio(mu, nu, part, tcount, rng):
     """advanced_relative_tv's ratio step: Z_nu/Z_mu from tcount big-side samples."""
-    store = _TruncStore(mu, nu, part, 4)
-    return _tilde_ratio(mu, nu, store, _Runtime(adv_budget(), rng), tcount)
+    return _tilde_ratio(
+        mu, nu, part.big, lambda plus: truncated_conditional(mu, nu, part, plus, 4),
+        _Runtime(adv_budget(), rng), tcount,
+    )
 
 
-def f_hat(mu, nu, part, r_tilde, x):
+def f_hat(mu, nu, part, r_tilde, plus):
     """advanced_relative_tv's per-pinning TV contribution, truncated at t = 4."""
-    tc = truncated_conditional(mu, nu, part, x, 4)
+    tc = truncated_conditional(mu, nu, part, plus, 4)
     return _f_hat_from(tc, _field_ratio(mu, nu, tc.x_plus), r_tilde)
 
 
@@ -197,36 +199,39 @@ def _mixed_pair():
 def test_truncated_conditional():
     mu, nu = _mixed_pair()
     part = partition_big_small(mu, nu, 0.25, adv_budget())
-    x = {v: -1 for v in part.big}
-    tc0 = truncated_conditional(mu, nu, part, x, 0)
+    tc0 = truncated_conditional(mu, nu, part, (), 0)
     assert tc0.z_mu == 1.0 and tc0.z_nu == 1.0 and tc0.sets == ((),)
 
-    tc_full = truncated_conditional(mu, nu, part, x, len(part.small))
+    tc_full = truncated_conditional(mu, nu, part, (), len(part.small))
     log_z = distribution(mu, {v: -1 for v in part.big}).log_z
     # conditional partition of the small side: divide out nothing (all big -1)
     assert math.log(tc_full.z_mu) == pytest.approx(log_z, abs=1e-10)
+    # the sets are every independent set of the small side, each once
+    small = list(part.small)
+    assert sorted(tc_full.sets) == sorted(
+        tuple(v for v, keep in zip(small, bits) if keep)
+        for bits in itertools.product((0, 1), repeat=len(small))
+        if mu.graph.is_independent_set(v for v, keep in zip(small, bits) if keep)
+    )
 
-    x_plus = dict(x)
-    x_plus[part.big[0]] = 1
-    tc = truncated_conditional(mu, nu, part, x_plus, 4)
+    tc = truncated_conditional(mu, nu, part, [part.big[0]], 4)
+    assert tc.x_plus == (part.big[0],)
     blocked = set(int(u) for u in mu.graph.neighbors(part.big[0]))
     assert all(v not in blocked for v in tc.s_x)
 
-    bad = dict(x)
-    for v in part.big[:2]:
-        bad[v] = 1
-    if mu.graph.has_edge(part.big[0], part.big[1]):
-        with pytest.raises(InfeasiblePinningError):
-            truncated_conditional(mu, nu, part, bad, 2)
+    edge = HardcoreModel(Graph(2, [(0, 1)]), [0.3, 0.4])
+    edge_part = partition_big_small(edge, edge, 0.25, adv_budget())
+    assert edge_part.big == (0, 1)
+    with pytest.raises(InfeasiblePinningError):
+        truncated_conditional(edge, edge, edge_part, (0, 1), 2)
     with pytest.raises(InputError):
-        truncated_conditional(mu, nu, part, {0: 1}, 2)
+        truncated_conditional(mu, nu, part, [part.small[0]], 2)
 
 
 def test_f_hat_identical_pair_vanishes():
     mu, _ = _mixed_pair()
     part = partition_big_small(mu, mu, 0.25, adv_budget())
-    x = {v: -1 for v in part.big}
-    assert f_hat(mu, mu, part, 1.0, x) == 0.0
+    assert f_hat(mu, mu, part, 1.0, ()) == 0.0
 
 
 def test_f_hat_empty_small_side():
@@ -235,11 +240,10 @@ def test_f_hat_empty_small_side():
     nu = HardcoreModel(g, [0.3 + 1e-8, 0.4])
     part = partition_big_small(mu, nu, 0.25, adv_budget())
     assert part.small == ()
-    x = {0: 1, 1: -1}
     r = 1.0
     ratio = nu.lam[0] / mu.lam[0]
     expected = 0.5 * abs(ratio / r - 1.0)
-    assert f_hat(mu, nu, part, r, x) == pytest.approx(expected, rel=1e-12)
+    assert f_hat(mu, nu, part, r, (0,)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eta_truncation_bound():

@@ -13,6 +13,7 @@ from gibbs_tv.exact import (
     exact_partition,
     exact_tv,
     support_configs,
+    _all_configs,
     _row_patterns,
 )
 from gibbs_tv.estimators import _project_unique
@@ -47,6 +48,30 @@ def test_distribution_probabilities_sum_to_one(rng):
         model = HardcoreModel(g, rng.uniform(0.1, 2, n))
         dist = distribution(model)
         assert math.fsum(np.exp(dist.log_probs).tolist()) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_hardcore_support_rows_and_order(rng):
+    """Every configuration the pins and zero fields allow whose +1 set is
+    independent, once, in exclude-first order over the free vertices (the
+    enumeration sampler indexes these rows with its random draws)."""
+    for _ in range(40):
+        n = int(rng.integers(0, 9))
+        g = random_graph(n, 0.4, rng)
+        lam = np.where(rng.random(n) < 0.2, 0.0, 1.0)
+        pins = rng.choice(np.array([-1, 0, 0, 0, 1], dtype=np.int8), n)
+        free = [v for v in range(n) if pins[v] == 0]
+        want = sorted(
+            (
+                c for c in _all_configs(n, pins)
+                if g.is_independent_set(np.flatnonzero(c > 0))
+                and not np.any((c > 0) & (lam == 0) & (pins == 0))
+            ),
+            key=lambda c: tuple(c[free] > 0),
+        )
+        pin = {v: int(pins[v]) for v in range(n) if pins[v]}
+        rows = support_configs(HardcoreModel(g, lam), pin)
+        assert rows.dtype == np.int8 and rows.shape == (len(want), n)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, want))
 
 
 def test_exact_tv_examples():

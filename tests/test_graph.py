@@ -80,3 +80,41 @@ def test_independent_set_matches_edge_scan(n, seed):
     s = {v for v in range(n) if rng.random() < 0.5}
     expected = all(not (u in s and v in s) for u, v in g.edges)
     assert g.is_independent_set(s) == expected
+
+
+def brute_force_independent_sets(g, vertices, max_size=None):
+    """Every subset of ``vertices`` that is independent and small enough,
+    sorted by binary value with the lowest vertex as the most significant bit."""
+    order = sorted(vertices)
+    k = len(order)
+    sets = []
+    for bits in range(1 << k):
+        s = tuple(v for i, v in enumerate(order) if bits >> (k - 1 - i) & 1)
+        if g.is_independent_set(s) and (max_size is None or len(s) <= max_size):
+            sets.append(s)
+    return sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 10**6))
+def test_independent_sets_match_brute_force(n, seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, float(rng.uniform(0.1, 0.7)), rng)
+    vertices = [v for v in range(n) if rng.random() < 0.8]
+    assert list(g.independent_sets(vertices)) == brute_force_independent_sets(g, vertices)
+    for t in range(4):
+        assert list(g.independent_sets(vertices, t)) == brute_force_independent_sets(
+            g, vertices, t
+        )
+
+
+def test_independent_sets_examples():
+    assert list(Graph(0).independent_sets([])) == [()]
+    assert list(path_graph(3).independent_sets([])) == [()]
+    assert list(path_graph(3).independent_sets([2, 0, 1], 0)) == [()]
+    # exclude-first order, duplicates and input order ignored
+    assert list(path_graph(3).independent_sets([2, 0, 1, 0])) == [
+        (), (2,), (1,), (0,), (0, 2)
+    ]
+    with pytest.raises(InputError):
+        list(path_graph(3).independent_sets([3]))

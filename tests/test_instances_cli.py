@@ -41,7 +41,7 @@ def test_parse_ising_with_infinite_tokens():
     model = parse_instance(doc)
     assert model.kind == "ising"
     assert math.isinf(model.h[0]) and model.h[0] > 0
-    assert model.coupling(0, 1) == 0.25
+    assert model.couplings[(0, 1)] == 0.25
 
 
 @pytest.mark.parametrize(
@@ -206,6 +206,9 @@ def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys):
     assert main(["tv", pa, pb, "--mode", "additive", "--t-override", "0"]) == 2
     assert main(["tv", pa, pb, "--threads", "0"]) == 2
     assert main(["sample", pa, "--threads", "0"]) == 2
+    # the enumeration sampler checks --delta too; a negative --num is invalid
+    assert main(["sample", pa, "--exact-sampler-cap", "20", "--delta", "5"]) == 2
+    assert main(["sample", pa, "--num", "-3"]) == 2
     assert main(["count", pa, "--exact-counter-cap", "20", "--threads", "0"]) == 2
     capsys.readouterr()
     # subcommands register only the flags they read
@@ -221,10 +224,15 @@ def test_run_record_fields(tmp_path, capsys):
     pa, pb, *_ = _write_pair(tmp_path)
     main(["tv", pa, pb, "--seed", "9", "--json"])
     record = json.loads(capsys.readouterr().out)
-    for field in ["estimate", "error_kind", "branch", "epsilon", "samples_used",
-                  "counter_calls", "elapsed", "mu_hash", "nu_hash", "seed",
-                  "config", "version"]:
-        assert field in record
+    assert set(record) == {
+        "estimate", "error_kind", "branch", "epsilon", "d_par", "theta", "b",
+        "c_tv_par", "samples_used", "counter_calls", "elapsed", "mu_hash",
+        "nu_hash", "seed", "config", "version",
+    }
+    assert set(record["config"]) == {
+        "mode", "sampler", "counter", "t", "kappa_override", "theta_override",
+        "T_override", "override_gates", "exact_cap", "median_repeats", "threads",
+    }
     assert record["config"]["sampler"]["mixing_multiplier"] == 20.0
 
 

@@ -34,6 +34,14 @@ def test_config_validation(rng):
         SamplerConfig(mixing_multiplier=0.0)
     with pytest.raises(InputError, match="threads"):
         Sampler(HardcoreModel(Graph(1), [1.0])).sample_batch(4, 0.1, rng, threads=0)
+    for cap in (0, 20):  # the chain and the enumeration sampler check alike
+        cfg = SamplerConfig(exact_fallback_cap=cap)
+        s = Sampler(HardcoreModel(path_graph(3), np.ones(3)), cfg=cfg)
+        with pytest.raises(InputError, match="delta"):
+            s.sample_batch(4, 5.0, rng)
+        with pytest.raises(InputError, match="nonnegative"):
+            s.sample_batch(-3, 0.1, rng)
+        assert s.sample_batch(0, 0.1, rng).shape == (0, 3)
 
 
 def test_steps_at_least_n():
@@ -138,7 +146,7 @@ def test_detailed_balance_closed_form(rng):
                     if cfg[v] == 1
                     else 1.0 - conditional_plus_probability(model, tau, v)
                 )
-                lw_tau = model.log_weight(tau)
+                lw_tau = model.log_weight_batch(tau[None])[0]
                 lhs = math.exp(lp) * p_sigma_tau
                 rhs = math.exp(lw_tau - dist.log_z) * p_tau_sigma
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
