@@ -39,8 +39,6 @@ def _sampler_flags(parser: argparse.ArgumentParser) -> None:
 def _counter_flags(parser: argparse.ArgumentParser) -> None:
     _sampler_flags(parser)
     parser.add_argument("--eps", type=float, default=0.1, help="target error")
-    parser.add_argument("--c-levels", type=float, default=4.0,
-                        help="annealing level multiplier")
     parser.add_argument("--samples-per-level", type=float, default=16.0,
                         help="annealing draws per level before the 1/eps^2 scale")
     parser.add_argument("--boost-repeats", type=int, default=9,
@@ -81,7 +79,6 @@ def _sampler_cfg(args) -> SamplerConfig:
 
 def _counter_cfg(args) -> CounterConfig:
     return CounterConfig(
-        levels_multiplier=args.c_levels,
         samples_per_level=args.samples_per_level,
         boost_repeats=args.boost_repeats,
         exact_fallback_cap=args.exact_counter_cap,

@@ -13,35 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import exact
-from .errors import InputError, MustPreprocessError, OracleError, TooLargeError
+from .errors import InputError, MustPreprocessError, OracleError
 from .models import HardcoreModel, IsingModel, SpinSystem, drop_zero_fields
-from .sampling import Sampler, SamplerConfig, chain_steps
+from .sampling import MAX_CHAIN_STEPS, Sampler, SamplerConfig, chain_steps, check_budget
 
-MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
-MAX_CHAIN_STEPS = 100_000_000_000  # refuse counts whose chains take more steps
-
-
-def check_budget(
-    formula: Callable[[], float], what: str, limit: float = MAX_DRAWS, unit: str = "draws"
-) -> int:
-    """``ceil(formula())``, refused with TooLargeError above ``limit``.
-
-    The formula is evaluated here so that one overflowing on a tiny epsilon
-    (``OverflowError``, or ``ZeroDivisionError`` once ``epsilon**2``
-    underflows) counts as an infinite cost rather than escaping.
-    """
-    try:
-        cost = formula()
-    except (OverflowError, ZeroDivisionError):
-        cost = math.inf
-    if not cost <= limit:  # also refuses nan
-        raise TooLargeError(f"{what} needs {cost:.3g} {unit}, above the limit of {limit:.3g}")
-    return math.ceil(cost)
+LEVELS_MULTIPLIER = 4.0  # annealing levels per unit of log-weight span
 
 
 @dataclass(frozen=True)
@@ -54,13 +35,12 @@ class CounterConfig:
     are counted by enumeration instead.
     """
 
-    levels_multiplier: float = 4.0
     samples_per_level: float = 16.0
     boost_repeats: int = 9
     exact_fallback_cap: int = 0
 
     def __post_init__(self):
-        if min(self.levels_multiplier, self.samples_per_level) <= 0 or self.boost_repeats < 1:
+        if self.samples_per_level <= 0 or self.boost_repeats < 1:
             raise InputError("counter configuration values must be positive")
 
 
@@ -69,15 +49,22 @@ def counts_exactly(model: SpinSystem, cfg: CounterConfig) -> bool:
     return model.n <= cfg.exact_fallback_cap
 
 
-def num_levels(model: SpinSystem, cfg: CounterConfig) -> int:
-    """Annealing path length: scales with the total log-weight budget."""
+def num_levels(model: SpinSystem) -> int:
+    """Annealing path length: scales with the total log-weight budget.
+
+    A span so large that the path would be longer than ``MAX_CHAIN_STEPS``
+    (every level takes at least one chain step) is refused.
+    """
     if model.kind == "hardcore":
         span = float(np.max(np.log1p(model.lam))) * model.n if model.n else 0.0
     else:
         mags = [abs(v) for v in model.couplings.values()]
         mag = max([float(np.max(np.abs(model.h))) if model.n else 0.0] + mags)
         span = (model.n + model.graph.m) * mag
-    return max(1, math.ceil(cfg.levels_multiplier * (1.0 + span)))
+    return max(1, check_budget(
+        lambda: LEVELS_MULTIPLIER * (1.0 + span), "the annealing path",
+        MAX_CHAIN_STEPS, "levels",
+    ))
 
 
 def _level_model(model: SpinSystem, frac: float) -> SpinSystem:
@@ -119,6 +106,51 @@ def _single_count(
     return log_z
 
 
+class CountPlan(NamedTuple):
+    """How :func:`approx_count` counts one model, fixed before any chain step.
+
+    ``model`` is the model actually counted (hardcore zero fields dropped).
+    ``levels`` is 0 when no chain runs: the model is empty or enumerated.
+    ``chain_steps`` is the whole cost, over every repeat, level and draw.
+    """
+
+    model: SpinSystem
+    levels: int = 0
+    delta: float = 0.0
+    draws: int = 0
+    chain_steps: int = 0
+
+
+def count_plan(
+    model: SpinSystem, epsilon: float, cfg: CounterConfig, sampler_cfg: SamplerConfig
+) -> CountPlan:
+    """The plan of ``approx_count(model, epsilon, cfg, ..., sampler_cfg)``.
+
+    Raises TooLargeError when the draws per level exceed ``MAX_DRAWS`` or
+    the whole count (repeats x levels x draws x steps per chain) exceeds
+    ``MAX_CHAIN_STEPS``.
+    """
+    if not 0 < epsilon < 1:
+        raise InputError(f"epsilon must be in (0,1), got {epsilon}")
+    if model.kind == "ising" and not model.is_soft:
+        raise MustPreprocessError("counting needs a soft Ising model; preprocess first")
+    if model.kind == "hardcore":
+        model, _ = drop_zero_fields(model)
+    if model.n == 0 or counts_exactly(model, cfg):
+        return CountPlan(model)
+    draws = check_budget(
+        lambda: cfg.samples_per_level / epsilon**2, "each annealing level"
+    )
+    ell = num_levels(model)
+    delta = min(0.5, epsilon / (20.0 * ell))
+    steps = chain_steps(model.n, model.n, delta, sampler_cfg)  # no vertex is pinned
+    total = check_budget(
+        lambda: cfg.boost_repeats * ell * draws * steps, "the annealing counter",
+        MAX_CHAIN_STEPS, "chain steps",
+    )
+    return CountPlan(model, ell, delta, draws, total)
+
+
 def approx_count(
     model: SpinSystem,
     epsilon: float,
@@ -130,38 +162,22 @@ def approx_count(
     """Estimate log Z with P[(1-eps) Z <= Z_hat <= (1+eps) Z] >= 0.99.
 
     The guarantee is inherited from the sampler; hardcore zero fields are
-    stripped exactly first.  Returns the log estimate.  Raises TooLargeError
-    before any chain step when the draws per level exceed ``MAX_DRAWS`` or
-    the whole count (repeats x levels x draws x steps per chain) exceeds
-    ``MAX_CHAIN_STEPS``.
+    stripped exactly first.  Returns the log estimate.  Every refusal of
+    :func:`count_plan` comes before any chain step.
     """
-    if not 0 < epsilon < 1:
-        raise InputError(f"epsilon must be in (0,1), got {epsilon}")
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     cfg = cfg or CounterConfig()
     rng = rng if rng is not None else np.random.default_rng()
     sampler_cfg = sampler_cfg or SamplerConfig()
-    if model.kind == "ising" and not model.is_soft:
-        raise MustPreprocessError("counting needs a soft Ising model; preprocess first")
-    if model.kind == "hardcore":
-        model, _ = drop_zero_fields(model)
+    plan = count_plan(model, epsilon, cfg, sampler_cfg)
+    model = plan.model
     if model.n == 0:
         return 0.0  # Z = 1 either way: empty product / 2^0
-    if counts_exactly(model, cfg):
+    if plan.levels == 0:
         return exact.exact_partition(model, cap=model.n)
-    draws = check_budget(
-        lambda: cfg.samples_per_level / epsilon**2, "each annealing level"
-    )
-    ell = num_levels(model, cfg)
-    delta = min(0.5, epsilon / (20.0 * ell))
-    steps = chain_steps(model.n, model.n, delta, sampler_cfg)  # no vertex is pinned
-    check_budget(
-        lambda: cfg.boost_repeats * ell * draws * steps, "the annealing counter",
-        MAX_CHAIN_STEPS, "chain steps",
-    )
     runs = [
-        _single_count(model, ell, delta, draws, child, sampler_cfg, threads)
+        _single_count(model, plan.levels, plan.delta, plan.draws, child, sampler_cfg, threads)
         for child in rng.spawn(cfg.boost_repeats)
     ]
     return float(np.median(runs))

@@ -6,9 +6,10 @@ Four estimators:
   samples; additive error.
 * :func:`marginal_additive_tv` -- same idea on a vertex subset, with
   conditional counting calls boosted to high success probability.
-* :func:`basic_relative_tv` -- rewrites TV as ``(Z_mu / 2 Z_nu) * E|E[W]-W|``
-  for the weight-ratio variable W and exploits its concentration when the
-  parameter distance is small.
+* :func:`basic_relative_tv` -- rewrites TV as ``E|E[W]-W| / (2 E[W])`` for
+  the weight-ratio variable ``W = w_nu/w_mu`` under mu, whose mean is
+  ``Z_nu/Z_mu``, and exploits its concentration when the parameter distance
+  is small; it counts no partition function.
 * :func:`advanced_relative_tv` -- hardcore-only estimator that conditions on
   the vertices with non-tiny fields and enumerates truncated conditional
   distributions on the rest, so pairs whose fields are far below one sample's
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from . import exact
-from .counting import CounterConfig, approx_count, check_budget, counts_exactly
+from .counting import CounterConfig, approx_count, count_plan, counts_exactly
 from .errors import GateError, InfeasiblePinningError, InputError
 from .models import (
     NEG_INF,
@@ -52,7 +53,7 @@ from .models import (
     preprocess,
     tv_lower_bound_constant,
 )
-from .sampling import Sampler, SamplerConfig
+from .sampling import MAX_CHAIN_STEPS, Sampler, SamplerConfig, check_budget
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,19 @@ class _Runtime:
         self.counter_calls = 0
         self._samplers: dict[SpinSystem, Sampler] = {}
 
-    def sample_batch(self, model: SpinSystem, count: int, delta: float) -> np.ndarray:
+    def sampler(self, model: SpinSystem) -> Sampler:
         if model not in self._samplers:
             self._samplers[model] = Sampler(model, None, self.budget.sampler)
+        return self._samplers[model]
+
+    def sample_batch(self, model: SpinSystem, count: int, delta: float) -> np.ndarray:
         self.samples_used += count
-        return self._samplers[model].sample_batch(
-            count, delta, self.rng, self.budget.threads
-        )
+        return self.sampler(model).sample_batch(count, delta, self.rng, self.budget.threads)
+
+    def count_steps(self, model: SpinSystem, eps: float) -> int:
+        """Chain steps of ``count(model, eps)``, refused as that count would be."""
+        reduced, _, _ = contract_pinning(model, None)
+        return count_plan(reduced, eps, self.budget.counter, self.budget.sampler).chain_steps
 
     def count(
         self,
@@ -256,13 +263,20 @@ def additive_tv(
     T = ceil(64/eps^2) draws give P[|d_hat - TV| <= eps] >= 2/3.  A
     ``T_override`` on the budget replaces the draw count (the dispatcher's
     gated accuracies can make the default astronomically large); statistical
-    quality is then the caller's responsibility.
+    quality is then the caller's responsibility.  The chain steps of both
+    counts and of the sample batch are added up and refused above
+    ``MAX_CHAIN_STEPS`` before the first of them runs.
     """
     _check_pair(mu, nu)
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
     rt = _Runtime(budget, rng)
     tcount = _draw_count(budget, lambda: 64.0 / epsilon**2, "additive estimator")
+    check_budget(
+        lambda: rt.count_steps(mu, epsilon / 4) + rt.count_steps(nu, epsilon / 4)
+        + tcount * rt.sampler(mu).steps_for(epsilon / 4),
+        "the additive estimator", MAX_CHAIN_STEPS, "chain steps",
+    )
     log_zm = rt.count(mu, epsilon / 4)
     log_zn = rt.count(nu, epsilon / 4)
     xs = rt.sample_batch(mu, tcount, epsilon / 4)
@@ -366,7 +380,29 @@ def basic_relative_tv(
     budget: EstimatorBudget,
     rng: Optional[np.random.Generator] = None,
 ) -> EstimateReport:
-    """Relative-error estimate (Z_mu / 2 Z_nu) * mean |W_i - W_bar|."""
+    """Relative-error estimate ``e_bar / (2 w_bar)`` from T draws of mu.
+
+    With ``W = w_nu(X)/w_mu(X)`` for ``X ~ mu``, ``E[W] = Z_nu/Z_mu``
+    exactly, so the paper's ``TV = (Z_mu / 2 Z_nu) E|E[W] - W|`` is
+    ``E|E[W] - W| / (2 E[W])``.  Both parts come from the same draws
+    ``W_1..W_T``: ``w_bar = mean W_i`` and ``e_bar = mean |W_i - w_bar|``.
+    No partition function is counted.
+
+    ``w_bar`` is an eps/4-relative estimate of ``Z_nu/Z_mu`` by the
+    meta-condition alone.  Its (K, L) give ``sd(W) <= K TV`` and
+    ``E[W] >= 1/L``, so with ``T = 1e4 L^2 K^2 / eps^2`` Chebyshev gives::
+
+        P(|w_bar / E[W] - 1| > eps/4) <= 16 Var(W) / (T eps^2 E[W]^2)
+                                      <= 16 K^2 TV^2 L^2 / (T eps^2)
+                                       = 16 TV^2 / 1e4  <=  1.6e-3,
+
+    below the 2 x 0.01 failure budget of two eps/4 counts of Z_mu and Z_nu,
+    the only other source of the ratio.  On that event ``1/w_bar`` lies
+    within factors ``1/(1 + eps/4)`` and ``1/(1 - eps/4)`` of
+    ``Z_mu/Z_nu``, inside the range the two counts allow, so the analysis of
+    ``e_bar`` goes through unchanged.  A ``T_override`` below T gives up
+    this bound.
+    """
     _check_pair(mu, nu)
     if not params.holds:
         raise GateError(f"concentration condition gate failed: {params.reason}")
@@ -378,13 +414,11 @@ def basic_relative_tv(
         lambda: 1e4 * params.L**2 * params.K**2 / epsilon**2,
         "basic estimator",
     )
-    log_zm = rt.count(mu, epsilon / 4)
-    log_zn = rt.count(nu, epsilon / 4)
     xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))
     w_hat, _ = _ratio_hat(mu, nu, xs, 0.0)
     w_bar = float(np.mean(w_hat))
     e_bar = float(np.mean(np.abs(w_hat - w_bar)))
-    estimate = math.exp(log_zm - log_zn) / 2.0 * e_bar
+    estimate = e_bar / (2.0 * w_bar)
     report = EstimateReport(
         estimate, "relative", "basic", epsilon,
         d_par=params.d_par, theta=params.theta, c_tv_par=params.c_tv_par,

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, TooLargeError
 from .models import Pinning, SpinSystem, contract_pinning, pin_array
 
 try:
@@ -37,6 +37,28 @@ def active_kernel() -> str:
 
 
 _CHUNK = 64  # chains per worker task; fixed so results are thread-count independent
+
+MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
+MAX_CHAIN_STEPS = 100_000_000_000  # refuse work whose chains take more steps
+
+
+def check_budget(
+    formula: Callable[[], float], what: str, limit: float = MAX_DRAWS, unit: str = "draws"
+) -> int:
+    """``ceil(formula())``, refused with TooLargeError above ``limit``.
+
+    The formula is evaluated here so that one overflowing on a tiny epsilon
+    or a huge constant (``OverflowError``, or ``ZeroDivisionError`` once
+    ``epsilon**2`` underflows) counts as an infinite cost rather than
+    escaping.
+    """
+    try:
+        cost = formula()
+    except (OverflowError, ZeroDivisionError):
+        cost = math.inf
+    if not cost <= limit:  # also refuses nan
+        raise TooLargeError(f"{what} needs {cost:.3g} {unit}, above the limit of {limit:.3g}")
+    return math.ceil(cost)
 
 
 @dataclass(frozen=True)
@@ -61,11 +83,14 @@ def chain_steps(n: int, n_free: int, delta: float, cfg: SamplerConfig) -> int:
 
     0 when nothing is free or the sampler enumerates instead
     (``n_free <= exact_fallback_cap``); else ``ceil(C * n * ln(n/delta))``,
-    at least n.
+    at least n.  A chain longer than ``MAX_CHAIN_STEPS`` is refused.
     """
     if n_free == 0 or n_free <= cfg.exact_fallback_cap:
         return 0
-    return max(n, math.ceil(cfg.mixing_multiplier * n * math.log(n / delta)))
+    return check_budget(
+        lambda: max(n, cfg.mixing_multiplier * n * math.log(n / delta)),
+        "each Glauber chain", MAX_CHAIN_STEPS, "chain steps",
+    )
 
 
 def conditional_plus_probability(model: SpinSystem, sigma: np.ndarray, v: int) -> float:
@@ -157,13 +182,15 @@ class Sampler:
 
         Work is split into fixed-size chunks with generators spawned per
         chunk, so the result depends only on ``rng`` and ``count`` -- not on
-        ``threads``.
+        ``threads``.  A batch whose chains take more than ``MAX_CHAIN_STEPS``
+        steps in all is refused before any of them runs.
         """
         if threads < 1:
             raise InputError(f"threads must be at least 1, got {threads}")
         if count < 0:
             raise InputError(f"sample count must be nonnegative, got {count}")
         steps = self.steps_for(delta)  # validates delta on every path
+        check_budget(lambda: count * steps, "the sample batch", MAX_CHAIN_STEPS, "chain steps")
         n = self.model.n
         if count == 0:
             return np.empty((0, n), dtype=np.int8)

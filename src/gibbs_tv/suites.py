@@ -695,9 +695,7 @@ def suite_estimator_accuracy(runs: int = 20, seed: int = 0) -> list[CaseResult]:
     b = min(marginal_lower_bound(mu2).b, marginal_lower_bound(nu2).b)
     params = meta_condition_params(mu2, nu2, b)
     basic_budget = EstimatorBudget(
-        sampler=SamplerConfig(exact_fallback_cap=20),
-        counter=CounterConfig(exact_fallback_cap=20),
-        T_override=20000,
+        sampler=SamplerConfig(exact_fallback_cap=20), T_override=20000
     )
     eps_rel = 0.25
     hits = sum(

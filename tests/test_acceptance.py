@@ -243,7 +243,7 @@ def test_criterion_8_counting_contract():
     from gibbs_tv.counting import _level_model, num_levels
 
     model = counting_instances()[2]
-    ell = num_levels(model, cfg)
+    ell = num_levels(model)
     log_z = 0.0
     for i in range(1, ell + 1):
         level = _level_model(model, i / ell)

@@ -80,36 +80,39 @@ def test_approx_count_refuses_astronomic_draws(monkeypatch):
 
 def test_whole_count_cost_fails_fast(tmp_path, monkeypatch, capsys):
     """An Ising 4-cycle pair with one pinned vertex, through the
-    additive-gated branch at eps 0.3: 2.0e7 draws per level (under
-    MAX_DRAWS) over 8 levels of 917-step chains is 1.5e11 chain steps.
-    Without the whole-cost guard this ran for hours; it must now fail before
-    any chain step, from the library and with CLI exit code 4."""
+    additive-gated branch at eps 0.3.  At J 0.15, 2.0e7 draws per level
+    (under MAX_DRAWS) over 8 levels of 917-step chains is 1.5e11 chain
+    steps: without a whole-cost guard this ran for hours.  At J 0.1, mu's
+    count alone (7.9e10 steps) passes a per-count guard and ran for minutes
+    before nu's was refused.  Both must fail before any chain step, from the
+    library and with CLI exit code 4."""
 
     def no_chains(*args, **kwargs):
         raise AssertionError("a chain ran")
 
     monkeypatch.setattr(Sampler, "sample_batch", no_chains)
     g = cycle_graph(4)
-    couplings = {e: 0.15 for e in g.edges}
-    mu = IsingModel(g, couplings, [math.inf, 0.0, -0.2, 0.05])
-    nu = IsingModel(g, couplings, [math.inf, 0.3, -0.2, 0.05])
     budget = EstimatorBudget(
         exact_cap=0, T_override=200, sampler=SamplerConfig(exact_fallback_cap=0),
         counter=CounterConfig(samples_per_level=0.25, boost_repeats=1, exact_fallback_cap=0),
     )
-    t0 = time.perf_counter()
-    with pytest.raises(TooLargeError, match="chain steps"):
-        dispatch_tv(mu, nu, 0.3, budget, np.random.default_rng(0))
-    paths = []
-    for name, model in (("mu", mu), ("nu", nu)):
-        paths.append(str(tmp_path / f"{name}.json"))
-        (tmp_path / f"{name}.json").write_text(emit_instance(model))
     flags = ["--eps", "0.3", "--exact-cap", "0", "--exact-sampler-cap", "0",
              "--exact-counter-cap", "0", "--samples-per-level", "0.25",
              "--boost-repeats", "1", "--t-override", "200"]
-    assert main(["tv", *paths, *flags]) == 4
-    assert time.perf_counter() - t0 < 1.0
-    capsys.readouterr()
+    for coupling in (0.15, 0.1):
+        couplings = {e: coupling for e in g.edges}
+        mu = IsingModel(g, couplings, [math.inf, 0.0, -0.2, 0.05])
+        nu = IsingModel(g, couplings, [math.inf, 0.3, -0.2, 0.05])
+        t0 = time.perf_counter()
+        with pytest.raises(TooLargeError, match="chain steps"):
+            dispatch_tv(mu, nu, 0.3, budget, np.random.default_rng(0))
+        paths = []
+        for name, model in (("mu", mu), ("nu", nu)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            (tmp_path / f"{name}.json").write_text(emit_instance(model))
+        assert main(["tv", *paths, *flags]) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def _runtime(cfg, rng):
@@ -149,8 +152,7 @@ def test_telescoping_identity_exact_expectations(rng):
             rng.uniform(-0.8, 0.8, 5),
         ),
     ]:
-        cfg = CounterConfig()
-        ell = num_levels(model, cfg)
+        ell = num_levels(model)
         log_base = 0.0 if model.kind == "hardcore" else model.n * math.log(2)
         log_z = log_base
         for i in range(1, ell + 1):

@@ -1,10 +1,14 @@
 import itertools
 import math
+import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gibbs_tv import estimators as estimators_mod
+from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.counting import CounterConfig
 from gibbs_tv.errors import GateError, InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.estimators import (
@@ -27,7 +31,7 @@ from gibbs_tv.exact import distribution, exact_marginal_tv, exact_partition, exa
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel, marginal_lower_bound
 from gibbs_tv.sampling import SamplerConfig
-from gibbs_tv.suites import ADVANCED_KAPPA, ADVANCED_THETA
+from gibbs_tv.suites import ADVANCED_KAPPA, ADVANCED_THETA, fixed_basic_pairs
 
 
 def adv_budget(**kw):
@@ -156,6 +160,50 @@ def test_basic_relative_refuses_astronomic_draw_counts(rng):
     params = meta_condition_params(mu, nu, 0.01)
     with pytest.raises(TooLargeError):
         basic_relative_tv(mu, nu, 0.25, params, EstimatorBudget(), rng)
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("called")
+
+
+CHAINS_ONLY = EstimatorBudget(
+    exact_cap=0, sampler=SamplerConfig(exact_fallback_cap=0),
+    counter=CounterConfig(exact_fallback_cap=0),
+)
+
+
+def test_basic_relative_on_chains(monkeypatch):
+    """The production path: Glauber draws with every exact cap at 0 and no
+    counting call, within eps of the exact TV on every fixed basic pair."""
+    eps = 0.25
+    cases = []
+    for mu, nu in fixed_basic_pairs():
+        b = min(marginal_lower_bound(mu).b, marginal_lower_bound(nu).b)
+        cases.append((mu, nu, meta_condition_params(mu, nu, b), exact_tv(mu, nu)))
+    monkeypatch.setattr(estimators_mod, "approx_count", _no_call)
+    budget = replace(CHAINS_ONLY, T_override=1000)
+    for idx, (mu, nu, params, truth) in enumerate(cases):
+        for rng in np.random.default_rng(idx).spawn(5):
+            rep = basic_relative_tv(mu, nu, eps, params, budget, rng)
+            assert rep.counter_calls == 0 and rep.samples_used == 1000
+            assert abs(rep.estimate - truth) <= eps * truth, (idx, rep.estimate, truth)
+
+
+def test_basic_relative_refuses_long_batches(monkeypatch):
+    """5e7 draws (at MAX_DRAWS) of 1.5e4-step chains on a 30-cycle is 7.7e11
+    chain steps: refused before any chain step."""
+    g = cycle_graph(30)
+    mu = HardcoreModel(g, np.full(30, 0.4))
+    nu = HardcoreModel(g, np.full(30, 0.4 + 1e-4))
+    params = meta_condition_params(mu, nu, min(marginal_lower_bound(mu).b,
+                                               marginal_lower_bound(nu).b))
+    assert params.holds
+    monkeypatch.setattr(sampling_mod.Sampler, "_run_chain", _no_call)
+    budget = replace(CHAINS_ONLY, T_override=50_000_000)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLargeError, match="sample batch"):
+        basic_relative_tv(mu, nu, 0.25, params, budget, np.random.default_rng(0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_partition_big_small():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gibbs_tv.exact import exact_tv
 from gibbs_tv.graph import Graph, path_graph, random_graph
 from gibbs_tv.instances import emit_instance, instance_hash, parse_instance
 from gibbs_tv.models import HardcoreModel, IsingModel
+from gibbs_tv.sampling import Sampler
 
 
 MINIMAL_HARDCORE = json.dumps(
@@ -197,10 +199,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys):
+def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys, monkeypatch):
     pa, pb, *_ = _write_pair(tmp_path)
     # the counter's draws per level exceed MAX_DRAWS: a typed oracle failure
     assert main(["count", pa, "--eps", "1e-12"]) == 4
+    # chains of 1.2e13 steps, a chain length or an annealing path that
+    # overflows: refused in one line before any chain step, not a
+    # MemoryError or an OverflowError traceback
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(Sampler, "_run_chain", no_chains)
+    p3 = IsingModel(path_graph(3), {(0, 1): 0.1, (1, 2): 0.1}, [1e308, 0.0, 0.0])
+    huge_field = tmp_path / "huge_field.json"
+    huge_field.write_text(emit_instance(p3))
+    capsys.readouterr()
+    for argv in (["sample", pa, "--c-mix", "1e12"], ["sample", pa, "--c-mix", "1e308"],
+                 ["count", str(huge_field)]):
+        t0 = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - t0 < 1.0
+        assert len(capsys.readouterr().err.splitlines()) == 1
     # zero draws or zero threads are invalid input, not NaN or a traceback
     assert main(["marginal-tv", pa, pb, "--subset", "b", "--t-override", "0"]) == 2
     assert main(["tv", pa, pb, "--mode", "additive", "--t-override", "0"]) == 2
