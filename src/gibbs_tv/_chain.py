@@ -9,7 +9,9 @@ ImportError, and ``sampling`` falls back to the pure-Python twin.
 
 The wrappers take the twin's arguments, and check dtype, contiguity and
 lengths before passing pointers, so a bad array raises TypeError or
-ValueError instead of reading out of bounds.
+ValueError instead of reading out of bounds.  ``bind`` checks the arrays of
+the early exit once for a chunk of chains that reuses them, so that
+``coalesce_*`` costs one foreign call per chain.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 _lib.run_hardcore.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64]
 _lib.run_ising.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64]
 _lib.run_hardcore.restype = _lib.run_ising.restype = ctypes.c_int
+_lib.coalesce_hardcore.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+                                   _i64, _i64, _i64, _ptr]
+_lib.coalesce_ising.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
+                                _i64, _i64, _i64, _ptr]
+_lib.coalesce_hardcore.restype = _lib.coalesce_ising.restype = ctypes.c_int64
 
 
 def _data(a, dtype, name: str, size: int) -> int:
@@ -119,3 +126,55 @@ def run_ising(indptr, indices, csr_j, h, state, sites, us):
     j = _data(csr_j, np.float64, "csr_j", nnz)
     hv = _data(h, np.float64, "h", n)
     _check(_lib.run_ising(n, ip, ix, nnz, j, hv, st, si, u, steps))
+
+
+class Bound:
+    """Checked arguments of ``coalesce_*``, addresses taken once.
+
+    Holds the arrays, so the addresses stay valid while it lives.
+    """
+
+    __slots__ = ("kind", "arrays", "head", "scratch")
+
+    def __init__(self, kind, arrays, head, scratch):
+        self.kind, self.arrays, self.head, self.scratch = kind, arrays, head, scratch
+
+
+def bind(indptr, indices, weights, pins, state, sites, us) -> Bound:
+    """The early exit's arguments for chains that reuse these arrays.
+
+    ``weights`` is ``(p_plus,)`` for hardcore and ``(csr_j, h)`` for Ising;
+    ``pins`` holds 0 at the free vertices and the pinned spin elsewhere.
+    """
+    n, ip, ix, nnz, st, si, u, steps = _graph_args(indptr, indices, state, sites, us)
+    if len(weights) == 1:
+        kind, w = "hardcore", [_data(weights[0], np.float64, "p_plus", n)]
+    elif len(weights) == 2:
+        kind = "ising"
+        w = [_data(weights[0], np.float64, "csr_j", nnz), _data(weights[1], np.float64, "h", n)]
+    else:
+        raise TypeError("weights must be (p_plus,) or (csr_j, h)")
+    pn = _data(pins, np.int8, "pins", n)
+    scratch = np.empty(n, dtype=np.int8)
+    arrays = (indptr, indices, *weights, pins, state, sites, us, scratch)
+    return Bound(kind, arrays, (n, ip, ix, nnz, *w, pn, st, si, u, steps), scratch.ctypes.data)
+
+
+def _coalesce(fn, kind: str, bound: Bound, w0: int, limit: int) -> tuple[int, bool]:
+    if bound.kind != kind:
+        raise TypeError(f"arguments bound for a {bound.kind} chain")
+    r = fn(*bound.head, w0, limit, bound.scratch)
+    if r == -1:
+        _check(r)
+    return (r, True) if r >= 0 else (-2 - r, False)
+
+
+def coalesce_hardcore(bound: Bound, w0: int, limit: int) -> tuple[int, bool]:
+    """Early exit of a hardcore chain: ``(steps spent, coalesced)``; the
+    bound ``state`` holds the chain's result when it coalesced."""
+    return _coalesce(_lib.coalesce_hardcore, "hardcore", bound, w0, limit)
+
+
+def coalesce_ising(bound: Bound, w0: int, limit: int) -> tuple[int, bool]:
+    """Early exit of a soft-Ising chain; see :func:`coalesce_hardcore`."""
+    return _coalesce(_lib.coalesce_ising, "ising", bound, w0, limit)

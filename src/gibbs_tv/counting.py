@@ -18,9 +18,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import exact
-from .errors import InputError, MustPreprocessError, OracleError
+from .errors import InputError, MustPreprocessError, OracleError, check_number
 from .models import HardcoreModel, IsingModel, SpinSystem, drop_zero_fields
-from .sampling import MAX_CHAIN_STEPS, Sampler, SamplerConfig, chain_steps, check_budget
+from .sampling import (
+    MAX_CHAIN_STEPS,
+    Sampler,
+    SamplerConfig,
+    chain_steps,
+    check_budget,
+    worst_chain_steps,
+)
 
 LEVELS_MULTIPLIER = 4.0  # annealing levels per unit of log-weight span
 
@@ -40,8 +47,9 @@ class CounterConfig:
     exact_fallback_cap: int = 0
 
     def __post_init__(self):
-        if self.samples_per_level <= 0 or self.boost_repeats < 1:
-            raise InputError("counter configuration values must be positive")
+        check_number("samples_per_level", self.samples_per_level, 0.0, strict=True)
+        check_number("boost_repeats", self.boost_repeats, 1)
+        check_number("exact_fallback_cap", self.exact_fallback_cap, 0)
 
 
 def counts_exactly(model: SpinSystem, cfg: CounterConfig) -> bool:
@@ -111,7 +119,8 @@ class CountPlan(NamedTuple):
 
     ``model`` is the model actually counted (hardcore zero fields dropped).
     ``levels`` is 0 when no chain runs: the model is empty or enumerated.
-    ``chain_steps`` is the whole cost, over every repeat, level and draw.
+    ``chain_steps`` is the whole cost, over every repeat, level and draw,
+    with every chain at its worst case (:func:`sampling.worst_chain_steps`).
     """
 
     model: SpinSystem
@@ -127,8 +136,8 @@ def count_plan(
     """The plan of ``approx_count(model, epsilon, cfg, ..., sampler_cfg)``.
 
     Raises TooLargeError when the draws per level exceed ``MAX_DRAWS`` or
-    the whole count (repeats x levels x draws x steps per chain) exceeds
-    ``MAX_CHAIN_STEPS``.
+    the whole count (repeats x levels x draws x worst-case steps per chain)
+    exceeds ``MAX_CHAIN_STEPS``.
     """
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
@@ -143,9 +152,10 @@ def count_plan(
     )
     ell = num_levels(model)
     delta = min(0.5, epsilon / (20.0 * ell))
-    steps = chain_steps(model.n, model.n, delta, sampler_cfg)  # no vertex is pinned
+    # no vertex is pinned
+    worst = worst_chain_steps(model.n, chain_steps(model.n, model.n, delta, sampler_cfg))
     total = check_budget(
-        lambda: cfg.boost_repeats * ell * draws * steps, "the annealing counter",
+        lambda: cfg.boost_repeats * ell * draws * worst, "the annealing counter",
         MAX_CHAIN_STEPS, "chain steps",
     )
     return CountPlan(model, ell, delta, draws, total)

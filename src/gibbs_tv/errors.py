@@ -1,5 +1,7 @@
 """Exception hierarchy, grouped by the CLI exit code each class maps to."""
 
+import math
+
 
 class GibbsTVError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,3 +45,15 @@ class TooLargeError(OracleError):
 
 class NoLowerBoundError(OracleError):
     """No parameter-distance-to-TV lower bound case applies."""
+
+
+def check_number(name: str, value, low: float, strict: bool = False) -> None:
+    """Raise InputError unless ``value`` is a finite number at least ``low``
+    (above it when ``strict``); NaN and infinities are refused."""
+    try:
+        ok = math.isfinite(value) and (value > low if strict else value >= low)
+    except TypeError:
+        ok = False
+    if not ok:
+        bound = f"above {low:g}" if strict else f"at least {low:g}"
+        raise InputError(f"{name} must be a finite number {bound}, got {value!r}")

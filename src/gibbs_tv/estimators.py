@@ -41,9 +41,10 @@ import numpy as np
 
 from . import exact
 from .counting import CounterConfig, approx_count, count_plan, counts_exactly
-from .errors import GateError, InfeasiblePinningError, InputError
+from .errors import GateError, InfeasiblePinningError, InputError, check_number
 from .models import (
     NEG_INF,
+    IsingModel,
     SpinSystem,
     _check_pair,
     check_uniqueness,
@@ -53,7 +54,14 @@ from .models import (
     preprocess,
     tv_lower_bound_constant,
 )
-from .sampling import MAX_CHAIN_STEPS, Sampler, SamplerConfig, check_budget
+from .sampling import (
+    MAX_CHAIN_STEPS,
+    Sampler,
+    SamplerConfig,
+    chain_steps,
+    check_budget,
+    worst_chain_steps,
+)
 
 
 @dataclass(frozen=True)
@@ -84,16 +92,17 @@ class EstimatorBudget:
     threads: int = 1
 
     def __post_init__(self):
-        if self.t < 0:
-            raise InputError("truncation size t must be >= 0")
         if self.mode not in {"auto", "additive", "basic-relative", "advanced", "exact"}:
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.median_repeats < 1:
-            raise InputError("median_repeats must be positive")
-        if self.T_override is not None and self.T_override < 1:
-            raise InputError(f"T_override must be at least 1, got {self.T_override}")
-        if self.threads < 1:
-            raise InputError(f"threads must be at least 1, got {self.threads}")
+        check_number("truncation size t", self.t, 0)
+        for name in ("kappa_override", "theta_override"):
+            if getattr(self, name) is not None:
+                check_number(name, getattr(self, name), 0.0, strict=True)
+        if self.T_override is not None:
+            check_number("T_override", self.T_override, 1)
+        check_number("exact_cap", self.exact_cap, 0)
+        check_number("median_repeats", self.median_repeats, 1)
+        check_number("threads", self.threads, 1)
 
 
 @dataclass
@@ -172,14 +181,63 @@ class _Runtime:
             self._samplers[model] = Sampler(model, None, self.budget.sampler)
         return self._samplers[model]
 
+    def batch_chain_steps(self, model: SpinSystem, delta: float) -> int:
+        """Worst-case steps of one chain of ``sample_batch(model, _, delta)``."""
+        sampler = self.sampler(model)
+        return worst_chain_steps(len(sampler.free), sampler.steps_for(delta))
+
     def sample_batch(self, model: SpinSystem, count: int, delta: float) -> np.ndarray:
         self.samples_used += count
         return self.sampler(model).sample_batch(count, delta, self.rng, self.budget.threads)
 
-    def count_steps(self, model: SpinSystem, eps: float) -> int:
-        """Chain steps of ``count(model, eps)``, refused as that count would be."""
+    def _repeats(self, reduced: SpinSystem, delta: Optional[float]) -> int:
+        if delta is None or counts_exactly(reduced, self.budget.counter):
+            return 1  # no boosting asked, or a deterministic answer
+        return 2 * math.ceil(math.log(1.0 / delta)) + 1
+
+    def count_steps(
+        self, model: SpinSystem, eps: float, delta: Optional[float] = None
+    ) -> int:
+        """Worst-case chain steps of ``count(model, eps, None, delta)``,
+        refused as one of its counts would be."""
         reduced, _, _ = contract_pinning(model, None)
-        return count_plan(reduced, eps, self.budget.counter, self.budget.sampler).chain_steps
+        plan = count_plan(reduced, eps, self.budget.counter, self.budget.sampler)
+        return self._repeats(reduced, delta) * plan.chain_steps
+
+    def pattern_count_steps(
+        self, model: SpinSystem, subset: list[int], eps: float, delta: float
+    ) -> int:
+        """Worst-case chain steps of ``count(model, eps, pin, delta)``, bounded
+        over every pinning ``pin`` of ``subset``.
+
+        Pinning ``subset`` to -1 (to +1 against an infinite Ising field)
+        keeps the most vertices and edges a pinning can, and flipping pins
+        moves an Ising field by at most twice the couplings to ``subset``.
+        The count of that contraction with every field raised by this much
+        has at least as many vertices, edges and annealing levels as any
+        pattern's, so at least as long chains; each chain counts at ``1.5 T``,
+        the worst case of any shorter chain.
+        """
+        sub = set(subset)
+        if model.kind == "hardcore":
+            bound, _, _ = contract_pinning(model, {v: -1 for v in sub})
+        else:
+            base = {v: 1 if model.h[v] == math.inf else -1 for v in sub}
+            reduced, kept, _ = contract_pinning(model, base)
+            shift = np.zeros(model.n)
+            for (u, v), j in model.couplings.items():
+                if (u in sub) != (v in sub):
+                    shift[v if u in sub else u] += 2.0 * abs(j)
+            bound = IsingModel(reduced.graph, reduced.couplings,
+                               np.abs(reduced.h) + shift[kept])
+        cfg = self.budget.sampler
+        plan = count_plan(bound, eps, self.budget.counter, cfg)
+        if plan.levels == 0:
+            return 0
+        steps = chain_steps(plan.model.n, plan.model.n, plan.delta, cfg)
+        per_chain = steps + steps // 2
+        return (self._repeats(plan.model, delta) * self.budget.counter.boost_repeats
+                * plan.levels * plan.draws * per_chain)
 
     def count(
         self,
@@ -199,10 +257,7 @@ class _Runtime:
         except InfeasiblePinningError:
             self.counter_calls += 1
             return NEG_INF
-        if delta is None or counts_exactly(reduced, self.budget.counter):
-            repeats = 1  # no boosting asked, or a deterministic answer
-        else:
-            repeats = 2 * math.ceil(math.log(1.0 / delta)) + 1
+        repeats = self._repeats(reduced, delta)
         self.counter_calls += repeats
         if reduced.n == 0:
             return log_const
@@ -263,9 +318,9 @@ def additive_tv(
     T = ceil(64/eps^2) draws give P[|d_hat - TV| <= eps] >= 2/3.  A
     ``T_override`` on the budget replaces the draw count (the dispatcher's
     gated accuracies can make the default astronomically large); statistical
-    quality is then the caller's responsibility.  The chain steps of both
-    counts and of the sample batch are added up and refused above
-    ``MAX_CHAIN_STEPS`` before the first of them runs.
+    quality is then the caller's responsibility.  The worst-case chain
+    steps of both counts and of the sample batch are added up and refused
+    above ``MAX_CHAIN_STEPS`` before the first of them runs.
     """
     _check_pair(mu, nu)
     if not 0 < epsilon < 1:
@@ -274,7 +329,7 @@ def additive_tv(
     tcount = _draw_count(budget, lambda: 64.0 / epsilon**2, "additive estimator")
     check_budget(
         lambda: rt.count_steps(mu, epsilon / 4) + rt.count_steps(nu, epsilon / 4)
-        + tcount * rt.sampler(mu).steps_for(epsilon / 4),
+        + tcount * rt.batch_chain_steps(mu, epsilon / 4),
         "the additive estimator", MAX_CHAIN_STEPS, "chain steps",
     )
     log_zm = rt.count(mu, epsilon / 4)
@@ -297,7 +352,12 @@ def marginal_additive_tv(
     """Additive-error estimate of the TV distance between marginals on a subset.
 
     Uses conditional counting at accuracy eps/8 with per-call success boosted
-    to 1 - eps^2/320, and T = ceil(64/eps^2) projected samples.
+    to 1 - eps^2/320, and T = ceil(64/eps^2) projected samples.  The
+    worst-case chain steps of every count and of the sample batch are added
+    up and refused above ``MAX_CHAIN_STEPS`` before the first of them runs:
+    the two boosted counts, the batch, and two boosted conditional counts
+    for each of at most ``min(T, 2^|subset|)`` patterns, each bounded by
+    :meth:`_Runtime.pattern_count_steps`.
     """
     _check_pair(mu, nu)
     if not 0 < epsilon < 1:
@@ -310,6 +370,15 @@ def marginal_additive_tv(
         return rt.finish(EstimateReport(0.0, "additive", "marginal-additive", epsilon))
     tcount = _draw_count(budget, lambda: 64.0 / epsilon**2, "marginal estimator")
     delta_cc = epsilon**2 / 320.0
+    patterns = min(tcount, 2 ** min(len(sub), 64))
+    check_budget(
+        lambda: rt.count_steps(mu, epsilon / 8, delta_cc)
+        + rt.count_steps(nu, epsilon / 8, delta_cc)
+        + tcount * rt.batch_chain_steps(mu, epsilon / 8)
+        + patterns * (rt.pattern_count_steps(mu, sub, epsilon / 8, delta_cc)
+                      + rt.pattern_count_steps(nu, sub, epsilon / 8, delta_cc)),
+        "the marginal estimator", MAX_CHAIN_STEPS, "chain steps",
+    )
     log_zm = rt.count(mu, epsilon / 8, delta=delta_cc)
     log_zn = rt.count(nu, epsilon / 8, delta=delta_cc)
     xs = rt.sample_batch(mu, tcount, epsilon / 8)

@@ -7,14 +7,32 @@ pre-drawn per chain, so the two kernels produce identical trajectories, and
 chains of a batch can be run on worker threads without changing the output.
 
 The Glauber guarantee (a sample within TV distance ``delta`` of the target
-after ``C_mix * n * ln(n/delta)`` steps) holds in the uniqueness / spectral
-regimes covered by the regime checks; elsewhere sampling is best effort.  For
-``n_free <= exact_fallback_cap`` the sampler switches to enumeration plus
-inverse-CDF lookup, which is exact and leaves no mixing error.
+after ``T = C_mix * n * ln(n/delta)`` steps) holds in the uniqueness /
+spectral regimes covered by the regime checks; elsewhere sampling is best
+effort.  For ``n_free <= exact_fallback_cap`` the sampler switches to
+enumeration plus inverse-CDF lookup, which is exact and leaves no mixing
+error.
+
+Each chain first tries to stop early by coupling from the past (Propp and
+Wilson 1996).  A bounding chain (hardcore: states {-1, +1, unknown}, Huber
+2004; Ising: an interval of the local field) runs over the last ``W0``,
+``2 W0``, ``4 W0``, ... of the chain's ``T`` pre-drawn updates, from every
+free vertex unknown.  A window that ends with every vertex known has found
+the state at step ``T`` from every start state, so it is the plain chain's
+output bit for bit, and the chain stops there.  ``W0 = ceil(n_free
+H(n_free))`` is the coupon-collector time, below which some free vertex is
+almost surely never updated.  The windows stop before their total passes
+``T / 2``, and when none coalesces the plain chain runs all ``T`` steps, so
+a chain costs at most ``1.5 T`` steps (:func:`worst_chain_steps`, which the
+whole-cost guards count).  Chains with ``T < 8 W0`` skip the early exit: at
+so few steps per coupon-collector time a window rarely coalesces within
+``T / 2``, and trying would only add work.  Samples, and everything drawn
+from them, are the same as without the early exit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, TooLargeError
+from .errors import InputError, TooLargeError, check_number
 from .models import Pinning, SpinSystem, contract_pinning, pin_array
 
 try:
@@ -37,6 +55,8 @@ def active_kernel() -> str:
 
 
 _CHUNK = 64  # chains per worker task; fixed so results are thread-count independent
+_SPINS = np.array([-1, 1], dtype=np.int8)
+EARLY_EXIT_MIN_SPAN = 8  # chains shorter than this many first windows skip the early exit
 
 MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
 MAX_CHAIN_STEPS = 100_000_000_000  # refuse work whose chains take more steps
@@ -74,8 +94,8 @@ class SamplerConfig:
     exact_fallback_cap: int = 0
 
     def __post_init__(self):
-        if self.mixing_multiplier <= 0:
-            raise InputError("mixing_multiplier must be positive")
+        check_number("mixing_multiplier", self.mixing_multiplier, 0.0, strict=True)
+        check_number("exact_fallback_cap", self.exact_fallback_cap, 0)
 
 
 def chain_steps(n: int, n_free: int, delta: float, cfg: SamplerConfig) -> int:
@@ -91,6 +111,34 @@ def chain_steps(n: int, n_free: int, delta: float, cfg: SamplerConfig) -> int:
         lambda: max(n, cfg.mixing_multiplier * n * math.log(n / delta)),
         "each Glauber chain", MAX_CHAIN_STEPS, "chain steps",
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _first_window(n_free: int) -> int:
+    """``ceil(n_free H(n_free))``, H the harmonic number (asymptotic
+    expansion past 4096 terms, where it is exact to double precision)."""
+    if n_free <= 4096:
+        h = math.fsum(1.0 / k for k in range(1, n_free + 1))
+    else:
+        h = math.log(n_free) + 0.5772156649015329 + 0.5 / n_free - 1.0 / (12.0 * n_free**2)
+    return math.ceil(n_free * h)
+
+
+def early_exit(n_free: int, steps: int) -> tuple[int, int]:
+    """``(W0, budget)`` of the early exit of a ``steps``-step chain over
+    ``n_free`` free vertices: its first window, and the most steps its
+    windows may take together (``steps // 2``).  ``(0, 0)`` when the chain
+    skips it (``steps < EARLY_EXIT_MIN_SPAN * W0``)."""
+    w0 = _first_window(n_free) if n_free > 0 else 0
+    if w0 == 0 or steps < EARLY_EXIT_MIN_SPAN * w0:
+        return 0, 0
+    return w0, steps // 2
+
+
+def worst_chain_steps(n_free: int, steps: int) -> int:
+    """Most steps a chain of length ``steps`` can take: ``steps``, plus the
+    window budget of an early exit that never coalesces."""
+    return steps + early_exit(n_free, steps)[1]
 
 
 def conditional_plus_probability(model: SpinSystem, sigma: np.ndarray, v: int) -> float:
@@ -141,8 +189,13 @@ class Sampler:
             dist = exact.distribution(model, pin, cap=max(model.n, 1))
             probs = np.exp(dist.log_probs)
             self._exact = (dist.configs, probs / probs.sum())
+        self._start = self.pins.copy()  # each chain's state before its Ising spins
         if model.kind == "hardcore":
             self._p_plus = model.lam / (1.0 + model.lam)
+            self._weights = (self._p_plus,)
+            self._start[self.free] = -1
+        else:
+            self._weights = (model.csr_j, model.h)
 
     @property
     def is_exact(self) -> bool:
@@ -154,26 +207,25 @@ class Sampler:
             raise InputError(f"delta must be in (0,1), got {delta}")
         return chain_steps(self.model.n, len(self.free), delta, self.cfg)
 
-    def _init_state(self, rng: np.random.Generator) -> np.ndarray:
-        state = self.pins.copy()
-        if self.model.kind == "hardcore":
-            state[self.free] = -1
-        else:
-            state[self.free] = rng.choice(np.array([-1, 1], dtype=np.int8), len(self.free))
-        return state
-
-    def _run_chain(self, steps: int, rng: np.random.Generator) -> np.ndarray:
-        state = self._init_state(rng)
-        if steps == 0 or len(self.free) == 0:
-            return state
-        sites = self.free[rng.integers(0, len(self.free), size=steps)]
-        us = rng.random(steps)
+    def _run_chain(self, rng, state, sites, us, bound, w0: int, budget: int) -> None:
+        """One chain of ``len(sites)`` steps into ``state``, drawing its
+        randomness into the chunk's ``sites`` and ``us``.  ``bound`` binds
+        these buffers for the early exit (:func:`early_exit` gives ``w0`` and
+        ``budget``), or is None when the chain skips it."""
+        np.copyto(state, self._start)
+        if self.model.kind == "ising":
+            state[self.free] = _SPINS[rng.integers(0, 2, size=len(self.free))]
+        steps = len(sites)
+        if steps == 0:
+            return
+        np.take(self.free, rng.integers(0, len(self.free), size=steps), out=sites)
+        rng.random(out=us)
         g = self.model.graph
         if self.model.kind == "hardcore":
-            _kernel.run_hardcore(g.indptr, g.indices, self._p_plus, state, sites, us)
-        else:
-            _kernel.run_ising(g.indptr, g.indices, self.model.csr_j, self.model.h, state, sites, us)
-        return state
+            if bound is None or not _kernel.coalesce_hardcore(bound, w0, budget)[1]:
+                _kernel.run_hardcore(g.indptr, g.indices, *self._weights, state, sites, us)
+        elif bound is None or not _kernel.coalesce_ising(bound, w0, budget)[1]:
+            _kernel.run_ising(g.indptr, g.indices, *self._weights, state, sites, us)
 
     def sample_batch(
         self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
@@ -182,15 +234,17 @@ class Sampler:
 
         Work is split into fixed-size chunks with generators spawned per
         chunk, so the result depends only on ``rng`` and ``count`` -- not on
-        ``threads``.  A batch whose chains take more than ``MAX_CHAIN_STEPS``
-        steps in all is refused before any of them runs.
+        ``threads``.  A batch whose chains could take more than
+        ``MAX_CHAIN_STEPS`` steps in all (:func:`worst_chain_steps` each) is
+        refused before any of them runs.
         """
         if threads < 1:
             raise InputError(f"threads must be at least 1, got {threads}")
         if count < 0:
             raise InputError(f"sample count must be nonnegative, got {count}")
         steps = self.steps_for(delta)  # validates delta on every path
-        check_budget(lambda: count * steps, "the sample batch", MAX_CHAIN_STEPS, "chain steps")
+        worst = worst_chain_steps(len(self.free), steps)
+        check_budget(lambda: count * worst, "the sample batch", MAX_CHAIN_STEPS, "chain steps")
         n = self.model.n
         if count == 0:
             return np.empty((0, n), dtype=np.int8)
@@ -201,12 +255,21 @@ class Sampler:
         n_chunks = (count + _CHUNK - 1) // _CHUNK
         children = rng.spawn(n_chunks)
 
+        w0, budget = early_exit(len(self.free), steps)
+        g = self.model.graph
+
         def run_chunk(args):
             i, child = args
             size = min(_CHUNK, count - i * _CHUNK)
             out = np.empty((size, n), dtype=np.int8)
+            state, sites, us = np.empty(n, np.int8), np.empty(steps, np.int64), np.empty(steps)
+            bound = None
+            if w0:
+                bound = _kernel.bind(g.indptr, g.indices, self._weights, self.pins,
+                                     state, sites, us)
             for j in range(size):
-                out[j] = self._run_chain(steps, child)
+                self._run_chain(child, state, sites, us, bound, w0, budget)
+                out[j] = state
             return out
 
         tasks = list(enumerate(children))

@@ -199,16 +199,24 @@ def test_annealing_count_on_chains(monkeypatch, name):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the count enumerated")
 
+    # chain steps through both entry points: the early exit and the plain chain
     steps = []
     kernel = sampling_mod._kernel
-    run = {"hardcore": kernel.run_hardcore, "ising": kernel.run_ising}[model.kind]
+    run = getattr(kernel, f"run_{model.kind}")
+    coalesce = getattr(kernel, f"coalesce_{model.kind}")
 
-    def counted(*args):
+    def counted_run(*args):
         steps.append(len(args[-1]))  # run_*(..., state, sites, us)
         return run(*args)
 
+    def counted_coalesce(*args):
+        spent, coalesced = coalesce(*args)
+        steps.append(spent)
+        return spent, coalesced
+
     monkeypatch.setattr(exact, "distribution", no_enumeration)
-    monkeypatch.setattr(kernel, f"run_{model.kind}", counted)
+    monkeypatch.setattr(kernel, f"run_{model.kind}", counted_run)
+    monkeypatch.setattr(kernel, f"coalesce_{model.kind}", counted_coalesce)
     cfg = CounterConfig(samples_per_level=4, boost_repeats=3, exact_fallback_cap=0)
     sampler_cfg = SamplerConfig(exact_fallback_cap=0)
     eps = 0.3

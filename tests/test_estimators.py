@@ -9,7 +9,7 @@ import pytest
 
 from gibbs_tv import estimators as estimators_mod
 from gibbs_tv import sampling as sampling_mod
-from gibbs_tv.counting import CounterConfig
+from gibbs_tv.counting import CounterConfig, count_plan
 from gibbs_tv.errors import GateError, InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.estimators import (
     EstimatorBudget,
@@ -467,6 +467,62 @@ def test_budget_validation():
         EstimatorBudget(T_override=0)
     with pytest.raises(InputError):
         EstimatorBudget(threads=0)
+    # non-finite numbers are refused in every numeric field
+    for name in ("t", "kappa_override", "theta_override", "T_override", "exact_cap",
+                 "median_repeats", "threads"):
+        for bad in (math.nan, math.inf, -1):
+            with pytest.raises(InputError, match="finite number"):
+                EstimatorBudget(**{name: bad})
+    for name in ("kappa_override", "theta_override"):
+        with pytest.raises(InputError):
+            EstimatorBudget(**{name: 0.0})
+    for name, bad in (("samples_per_level", math.nan), ("samples_per_level", 0.0),
+                      ("boost_repeats", 0), ("boost_repeats", math.inf),
+                      ("exact_fallback_cap", -1)):
+        with pytest.raises(InputError, match=name):
+            CounterConfig(**{name: bad})
+
+
+def test_marginal_refuses_its_whole_cost(monkeypatch):
+    """Each conditional count of the marginal estimator is under the limit,
+    but all of them together are not: refused before the first chain step."""
+    g = path_graph(3)
+    mu = HardcoreModel(g, [1.0, 1.0, 1.0])
+    nu = HardcoreModel(g, [1.0, 2.0, 1.0])
+    monkeypatch.setattr(sampling_mod.Sampler, "_run_chain", _no_call)
+    budget = replace(CHAINS_ONLY, counter=CounterConfig(exact_fallback_cap=0))
+    rt = _Runtime(budget, np.random.default_rng(0))
+    one = rt.pattern_count_steps(mu, [0, 2], 0.1 / 8, 0.1**2 / 320)
+    assert 0 < one < sampling_mod.MAX_CHAIN_STEPS
+    with pytest.raises(TooLargeError, match="marginal estimator"):
+        marginal_additive_tv(mu, nu, [0, 2], 0.1, budget, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", ["hardcore", "ising"])
+def test_pattern_count_bound_covers_every_pattern(kind):
+    """pattern_count_steps bounds the worst-case steps of the boosted count
+    under every pinning of the subset, Ising pins that raise |h| included."""
+    rng = np.random.default_rng(7)
+    budget = replace(CHAINS_ONLY, counter=CounterConfig(samples_per_level=1.0,
+                                                        exact_fallback_cap=0))
+    rt = _Runtime(budget, rng)
+    for _ in range(6):
+        g = random_graph(7, 0.4, rng)
+        if kind == "hardcore":
+            model = HardcoreModel(g, rng.uniform(0.0, 3.0, 7))
+        else:
+            model = IsingModel(g, {e: float(rng.uniform(-2.0, 2.0)) for e in g.edges},
+                               rng.uniform(-0.3, 0.3, 7))
+        sub = sorted(int(v) for v in rng.choice(7, size=3, replace=False))
+        bound = rt.pattern_count_steps(model, sub, 0.2, 1e-3)
+        for row in itertools.product((-1, 1), repeat=3):
+            pin = dict(zip(sub, row))
+            try:
+                reduced = estimators_mod.contract_pinning(model, pin)[0]
+            except InfeasiblePinningError:
+                continue
+            plan = count_plan(reduced, 0.2, budget.counter, budget.sampler)
+            assert rt._repeats(reduced, 1e-3) * plan.chain_steps <= bound
 
 
 def test_sample_count_shapes():

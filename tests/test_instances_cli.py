@@ -199,6 +199,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch):
+    """A NaN or infinite number in a budget is invalid input (exit 2) before
+    any chain step: --c-mix nan once shortened every chain to n steps."""
+    pa, pb, *_ = _write_pair(tmp_path)
+    monkeypatch.setattr(Sampler, "_run_chain", lambda *a: pytest.fail("a chain ran"))
+    for argv in (["sample", pa, "--c-mix", "nan", "--exact-sampler-cap", "0"],
+                 ["sample", pa, "--c-mix", "inf"], ["sample", pa, "--c-mix", "-1"],
+                 ["count", pa, "--samples-per-level", "nan"],
+                 ["count", pa, "--samples-per-level", "inf"],
+                 ["tv", pa, pb, "--kappa", "nan"], ["tv", pa, pb, "--theta", "inf"],
+                 ["tv", pa, pb, "--exact-cap", "-1"]):
+        assert main(argv) == 2, argv
+        assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_marginal_refuses_its_whole_cost(tmp_path, capsys, monkeypatch):
+    """On chains, marginal-tv at the default eps 0.1 makes 92 conditional
+    counts that are each allowed but take 5.1e11 steps together: refused in
+    one line before the first chain step."""
+    pa, pb, *_ = _write_pair(tmp_path)
+    monkeypatch.setattr(Sampler, "_run_chain", lambda *a: pytest.fail("a chain ran"))
+    t0 = time.perf_counter()
+    assert main(["marginal-tv", pa, pb, "--subset", "a,c", "--exact-cap", "0",
+                 "--exact-sampler-cap", "0", "--exact-counter-cap", "0"]) == 4
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "marginal estimator" in err and len(err.splitlines()) == 1
+
+
 def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys, monkeypatch):
     pa, pb, *_ = _write_pair(tmp_path)
     # the counter's draws per level exceed MAX_DRAWS: a typed oracle failure

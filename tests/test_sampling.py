@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import shutil
@@ -6,13 +7,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import gibbs_tv
 from gibbs_tv import _chain_py
 from gibbs_tv import sampling as sampling_mod
-from gibbs_tv.errors import InfeasiblePinningError, InputError
+from gibbs_tv.errors import InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.exact import distribution
-from gibbs_tv.graph import Graph, path_graph, random_graph
+from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel
 from gibbs_tv.sampling import (
     Sampler,
@@ -20,6 +23,8 @@ from gibbs_tv.sampling import (
     active_kernel,
     chain_steps,
     conditional_plus_probability,
+    early_exit,
+    worst_chain_steps,
 )
 
 
@@ -30,8 +35,12 @@ def compiled_chain():
 
 
 def test_config_validation(rng):
-    with pytest.raises(InputError):
-        SamplerConfig(mixing_multiplier=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="mixing_multiplier"):
+            SamplerConfig(mixing_multiplier=bad)
+    for bad in (-1, math.nan):
+        with pytest.raises(InputError, match="exact_fallback_cap"):
+            SamplerConfig(exact_fallback_cap=bad)
     with pytest.raises(InputError, match="threads"):
         Sampler(HardcoreModel(Graph(1), [1.0])).sample_batch(4, 0.1, rng, threads=0)
     for cap in (0, 20):  # the chain and the enumeration sampler check alike
@@ -403,3 +412,169 @@ def test_fallback_kernel_selected_when_extension_missing():
         importlib.reload(sampling_mod)
     assert np.array_equal(with_ext, without_ext)
     assert sampling_mod.active_kernel() in ("compiled", "python")
+
+
+# ---------------------------------------------------------------------------
+# Early exit by coupling from the past
+
+_LAMBDAS = st.sampled_from([0.0, 1e-3, 0.3, 1.0, 4.0, 1e3, 1e12]) | st.floats(0.0, 1e6)
+# couplings and fields that saturate the heat-bath probability (|2c| > 709),
+# sit just inside the cut-off, or push a sum across it, next to ordinary ones
+_COUPLINGS = st.sampled_from([0.0, -0.0, 400.0, -400.0, 177.3]) | st.floats(-3.0, 3.0)
+_FIELDS = st.sampled_from([800.0, -800.0, 354.4, -354.6, 1e308, -1e308]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _chain_cases(draw):
+    """A small graph with pins, a hardcore or Ising model on it, a start
+    state, pre-drawn updates and an early-exit schedule."""
+    n = draw(st.integers(1, 7))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    g = Graph(n, edges)
+    pins = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=n, max_size=n)),
+                    dtype=np.int8)
+    free = np.flatnonzero(pins == 0)
+    if len(free) == 0:
+        pins[draw(st.integers(0, n - 1))] = 0
+        free = np.flatnonzero(pins == 0)
+    if draw(st.booleans()):
+        lam = np.array(draw(st.lists(_LAMBDAS, min_size=n, max_size=n)))
+        kind, weights = "hardcore", (lam / (1.0 + lam),)
+    else:
+        j = {e: draw(_COUPLINGS) for e in edges}
+        h = np.array(draw(st.lists(_FIELDS, min_size=n, max_size=n)))
+        kind, weights = "ising", (IsingModel(g, j, h).csr_j, h)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(1, 300))
+    sites = free[rng.integers(0, len(free), size=steps)]
+    us = rng.random(steps)
+    start = pins.copy()
+    start[free] = rng.choice(np.array([-1, 1], dtype=np.int8), len(free))  # any start
+    w0 = draw(st.integers(1, 40))
+    limit = draw(st.integers(0, steps + 5))
+    return kind, g, weights, pins, start, sites, us, w0, limit
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the twin at 1e308
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_chain_cases())
+def test_early_exit_equals_the_plain_chain(compiled_chain, case):
+    """coalesce_* followed by the plain chain when it does not coalesce ends
+    in the plain chain's state bit for bit, on both kernels, which spend the
+    same steps and agree on whether a window coalesced.  A coalesced state is
+    where the plain chain ends from every start state."""
+    kind, g, weights, pins, start, sites, us, w0, limit = case
+    run = getattr(compiled_chain, f"run_{kind}")
+    plain = start.copy()
+    run(g.indptr, g.indices, *weights, plain, sites, us)
+    outcomes = []
+    for kernel in (compiled_chain, _chain_py):
+        state = start.copy()
+        bound = kernel.bind(g.indptr, g.indices, weights, pins, state, sites, us)
+        spent, coalesced = getattr(kernel, f"coalesce_{kind}")(bound, w0, limit)
+        assert spent <= min(limit, len(sites))
+        if not coalesced:
+            assert np.array_equal(state, start)  # untouched
+            getattr(kernel, f"run_{kind}")(g.indptr, g.indices, *weights, state, sites, us)
+        assert np.array_equal(state, plain)
+        outcomes.append((spent, coalesced))
+    assert outcomes[0] == outcomes[1]
+    event(f"{kind}, coalesced: {outcomes[0][1]}")
+    free = np.flatnonzero(pins == 0)
+    if outcomes[0][1] and len(free) <= 5:
+        for spins in itertools.product((-1, 1), repeat=len(free)):
+            other = pins.copy()
+            other[free] = spins
+            run(g.indptr, g.indices, *weights, other, sites, us)
+            assert np.array_equal(other, plain)
+
+
+def _count_chain_entries(monkeypatch, kernel, kind):
+    """Record each call to the early exit (steps spent, coalesced) and to the
+    plain chain (its length)."""
+    calls = {"coalesce": [], "run": []}
+    coalesce, run = getattr(kernel, f"coalesce_{kind}"), getattr(kernel, f"run_{kind}")
+
+    def counted_coalesce(*args):
+        out = coalesce(*args)
+        calls["coalesce"].append(out)
+        return out
+
+    def counted_run(*args):
+        calls["run"].append(len(args[-1]))
+        return run(*args)
+
+    monkeypatch.setattr(kernel, f"coalesce_{kind}", counted_coalesce)
+    monkeypatch.setattr(kernel, f"run_{kind}", counted_run)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["hardcore", "ising"])
+def test_default_chains_stop_early(monkeypatch, kind):
+    """At the default multiplier every chain here coalesces, in fewer steps
+    than its length T, and the plain chain never runs."""
+    g = random_graph(8, 0.35, np.random.default_rng(2))
+    if kind == "hardcore":
+        model = HardcoreModel(g, np.linspace(0.3, 1.0, 8))
+    else:
+        model = IsingModel(g, {e: 0.25 * (-1) ** k for k, e in enumerate(g.edges)},
+                           np.linspace(-0.5, 0.5, 8))
+    sampler = Sampler(model, {3: -1})
+    steps = sampler.steps_for(0.05)
+    w0, budget = early_exit(7, steps)
+    assert w0 == math.ceil(7 * sum(1 / k for k in range(1, 8))) and budget == steps // 2
+    calls = _count_chain_entries(monkeypatch, sampling_mod._kernel, kind)
+    sampler.sample_batch(200, 0.05, np.random.default_rng(3))
+    assert len(calls["coalesce"]) == 200 and calls["run"] == []
+    assert all(coalesced and spent < steps for spent, coalesced in calls["coalesce"])
+    assert worst_chain_steps(7, steps) == steps + steps // 2
+
+
+def test_short_chains_skip_the_early_exit(monkeypatch):
+    """At mixing multiplier 3 a 300-cycle with 30 pins has T < 8 W0: its
+    chains run the plain kernel only, and cost T at worst."""
+    g = cycle_graph(300)
+    model = HardcoreModel(g, np.full(300, 1.0))
+    sampler = Sampler(model, {v: -1 for v in range(0, 300, 10)},
+                      SamplerConfig(mixing_multiplier=3.0))
+    steps = sampler.steps_for(0.05)
+    assert early_exit(270, steps) == (0, 0) and worst_chain_steps(270, steps) == steps
+    calls = _count_chain_entries(monkeypatch, sampling_mod._kernel, "hardcore")
+    sampler.sample_batch(3, 0.05, np.random.default_rng(0))
+    assert calls["coalesce"] == [] and calls["run"] == [steps] * 3
+
+
+def test_batch_guard_counts_the_worst_case(monkeypatch):
+    """1e8 chains of 813 steps are 8.1e10 steps, under MAX_CHAIN_STEPS, but
+    1.2e11 once each may also spend its window budget: refused up front."""
+    model = HardcoreModel(random_graph(8, 0.35, np.random.default_rng(2)), np.ones(8))
+    sampler = Sampler(model)
+    assert sampler.steps_for(0.05) == 813
+    monkeypatch.setattr(Sampler, "_run_chain", lambda *a: pytest.fail("a chain ran"))
+    with pytest.raises(TooLargeError, match="sample batch"):
+        sampler.sample_batch(100_000_000, 0.05, np.random.default_rng(0))
+
+
+def test_compiled_early_exit_validates_arrays(compiled_chain):
+    g = path_graph(4)
+    p_plus, pins = np.full(4, 0.5), np.zeros(4, dtype=np.int8)
+    state = np.full(4, -1, dtype=np.int8)
+    sites, us = np.arange(40, dtype=np.int64) % 4, np.full(40, 0.25)
+    with pytest.raises(TypeError):
+        compiled_chain.bind(g.indptr, g.indices, (p_plus,), pins.astype(np.int64), state, sites, us)
+    with pytest.raises(ValueError):
+        compiled_chain.bind(g.indptr, g.indices, (p_plus,), pins, state, sites, us[:-1])
+    with pytest.raises(TypeError):
+        compiled_chain.bind(g.indptr, g.indices, (p_plus, p_plus, p_plus), pins, state, sites, us)
+    bound = compiled_chain.bind(g.indptr, g.indices, (p_plus,), pins, state, sites, us)
+    with pytest.raises(TypeError):
+        compiled_chain.coalesce_ising(bound, 4, 20)
+    # a site off the graph in the windows it would read: refused before any
+    # step; one before them is left to the plain chain's check
+    sites[35] = 9
+    with pytest.raises(ValueError):
+        compiled_chain.coalesce_hardcore(bound, 4, 20)
+    assert np.array_equal(state, np.full(4, -1))
+    sites[35], sites[2] = 3, 9
+    assert compiled_chain.coalesce_hardcore(bound, 4, 20)[0] > 0
