@@ -3,15 +3,19 @@
 On first import ``chain_kernel.c`` is compiled with ``cc`` into this
 package's ``__pycache__``, under a file name keyed by the source and the
 flags; later imports load the cached library.  ``ctypes.CDLL`` releases the
-GIL during each call, so chains on worker threads run in parallel.  Without
-a compiler, with an unwritable cache or a failed compile the import raises
-ImportError, and ``sampling`` falls back to the pure-Python twin.
+GIL during each call, so chunks of chains on worker threads run in
+parallel.  Without a compiler, with an unwritable cache or a failed compile
+the import raises ImportError, and ``sampling`` falls back to the
+pure-Python twin.
 
-The wrappers take the twin's arguments, and check dtype, contiguity and
-lengths before passing pointers, so a bad array raises TypeError or
-ValueError instead of reading out of bounds.  ``bind`` checks the arrays of
-the early exit once for a chunk of chains that reuses them, so that
-``coalesce_*`` costs one foreign call per chain.
+``sample_chunk`` runs a chunk of a batch's chains in one foreign call and
+draws their randomness in C, from the batch's Philox4x64-10 key: only the
+tail that the early exit reads, and the whole chain only when no window
+coalesces (see ``chain_kernel.c`` for the stream's layout and the site
+map's bias bound).  ``run_hardcore`` and ``run_ising`` apply pre-drawn
+updates.  The wrappers take the twin's arguments, and check dtype,
+contiguity and lengths before passing pointers, so a bad array raises
+TypeError or ValueError instead of reading or writing out of bounds.
 """
 
 from __future__ import annotations
@@ -72,11 +76,11 @@ _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 _lib.run_hardcore.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _i64]
 _lib.run_ising.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64]
 _lib.run_hardcore.restype = _lib.run_ising.restype = ctypes.c_int
-_lib.coalesce_hardcore.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
-                                   _i64, _i64, _i64, _ptr]
-_lib.coalesce_ising.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
-                                _i64, _i64, _i64, _ptr]
-_lib.coalesce_hardcore.restype = _lib.coalesce_ising.restype = ctypes.c_int64
+_lib.sample_chunk.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _ptr,
+                              _i64, _i64, _i64, _i64, _i64, _ptr, _ptr]
+_lib.sample_chunk.restype = ctypes.c_int64
+_lib.philox4x64_10.argtypes = [_ptr, _ptr, _ptr]
+_lib.philox4x64_10.restype = None
 
 
 def _data(a, dtype, name: str, size: int) -> int:
@@ -109,8 +113,8 @@ def _graph_args(indptr, indices, state, sites, us):
 
 
 def _check(status: int) -> None:
-    if status != 0:
-        raise ValueError("a site or neighbour index lies outside the graph")
+    if status < 0:
+        raise ValueError("a site, free vertex, pin or neighbour index lies out of range")
 
 
 def run_hardcore(indptr, indices, p_plus, state, sites, us):
@@ -128,53 +132,42 @@ def run_ising(indptr, indices, csr_j, h, state, sites, us):
     _check(_lib.run_ising(n, ip, ix, nnz, j, hv, st, si, u, steps))
 
 
-class Bound:
-    """Checked arguments of ``coalesce_*``, addresses taken once.
-
-    Holds the arrays, so the addresses stay valid while it lives.
-    """
-
-    __slots__ = ("kind", "arrays", "head", "scratch")
-
-    def __init__(self, kind, arrays, head, scratch):
-        self.kind, self.arrays, self.head, self.scratch = kind, arrays, head, scratch
-
-
-def bind(indptr, indices, weights, pins, state, sites, us) -> Bound:
-    """The early exit's arguments for chains that reuse these arrays.
+def sample_chunk(indptr, indices, weights, pins, free, key, out, first, size, steps, w0, limit):
+    """Chains ``first .. first + size - 1`` of a batch into those rows of ``out``.
 
     ``weights`` is ``(p_plus,)`` for hardcore and ``(csr_j, h)`` for Ising;
-    ``pins`` holds 0 at the free vertices and the pinned spin elsewhere.
+    ``pins`` holds 0 at the free vertices and the pinned spin elsewhere, and
+    ``free`` lists the free vertices.  ``key`` (two uint64) keys the batch's
+    Philox4x64-10 stream; chain ``c`` reads counters ``(t >> 1, c, 0, 0)``
+    for step ``t`` and ``(k >> 8, c, 1, 0)`` for the start spins, so a row
+    depends on the key and its index alone.  Each chain tries the early
+    exit's windows (``w0``, ``2 w0``, ... within ``limit`` steps; none when
+    ``w0`` is 0) over the tail of its ``steps`` updates, drawing only that
+    tail, and runs the plain chain when none coalesces.  Returns
+    ``(steps run, chains that ran the plain chain)``.
     """
-    n, ip, ix, nnz, st, si, u, steps = _graph_args(indptr, indices, state, sites, us)
+    n = len(pins)
     if len(weights) == 1:
-        kind, w = "hardcore", [_data(weights[0], np.float64, "p_plus", n)]
+        w = (_data(weights[0], np.float64, "p_plus", n), None, None)
     elif len(weights) == 2:
-        kind = "ising"
-        w = [_data(weights[0], np.float64, "csr_j", nnz), _data(weights[1], np.float64, "h", n)]
+        w = (None, _data(weights[0], np.float64, "csr_j", len(indices)),
+             _data(weights[1], np.float64, "h", n))
     else:
         raise TypeError("weights must be (p_plus,) or (csr_j, h)")
-    pn = _data(pins, np.int8, "pins", n)
-    scratch = np.empty(n, dtype=np.int8)
-    arrays = (indptr, indices, *weights, pins, state, sites, us, scratch)
-    return Bound(kind, arrays, (n, ip, ix, nnz, *w, pn, st, si, u, steps), scratch.ctypes.data)
-
-
-def _coalesce(fn, kind: str, bound: Bound, w0: int, limit: int) -> tuple[int, bool]:
-    if bound.kind != kind:
-        raise TypeError(f"arguments bound for a {bound.kind} chain")
-    r = fn(*bound.head, w0, limit, bound.scratch)
-    if r == -1:
-        _check(r)
-    return (r, True) if r >= 0 else (-2 - r, False)
-
-
-def coalesce_hardcore(bound: Bound, w0: int, limit: int) -> tuple[int, bool]:
-    """Early exit of a hardcore chain: ``(steps spent, coalesced)``; the
-    bound ``state`` holds the chain's result when it coalesced."""
-    return _coalesce(_lib.coalesce_hardcore, "hardcore", bound, w0, limit)
-
-
-def coalesce_ising(bound: Bound, w0: int, limit: int) -> tuple[int, bool]:
-    """Early exit of a soft-Ising chain; see :func:`coalesce_hardcore`."""
-    return _coalesce(_lib.coalesce_ising, "ising", bound, w0, limit)
+    if not isinstance(out, np.ndarray) or out.dtype != np.int8 or out.ndim != 2:
+        raise TypeError("out must be a 2-d numpy array of int8")
+    if not out.flags.c_contiguous or not out.flags.writeable:
+        raise ValueError("out must be C-contiguous and writeable")
+    if out.shape[1] != n or not 0 <= first <= first + size <= len(out):
+        raise ValueError(f"rows {first}..{first + size - 1} of {n} spins do not fit out, "
+                         f"{out.shape}")
+    fallbacks = ctypes.c_int64()
+    spent = _lib.sample_chunk(
+        n, _data(indptr, np.int32, "indptr", n + 1),
+        _data(indices, np.int32, "indices", len(indices)), len(indices), *w,
+        _data(pins, np.int8, "pins", n), _data(free, np.int64, "free", len(free)), len(free),
+        _data(key, np.uint64, "key", 2), first, size, steps, w0, limit,
+        out.ctypes.data + first * n, ctypes.byref(fallbacks),
+    )
+    _check(spent)
+    return spent, fallbacks.value

@@ -295,6 +295,33 @@ def _neighborhood_partition(graph: Graph, lam: Sequence[float], v: int) -> float
     return total
 
 
+def effective_pins(model: SpinSystem, pin: Optional[Pinning]) -> np.ndarray:
+    """``pin`` as an int8 array (0 = free) with every infinite Ising field
+    folded in as a pin on its sign, once the pinning is checked feasible.
+
+    Raises:
+        InfeasiblePinningError: no extension of ``pin`` has positive weight
+            for reasons visible locally (hardcore +1 on a zero field or on
+            adjacent vertices; Ising pin against an infinite field).
+    """
+    eff = pin_array(pin, model.n)
+    if model.kind == "hardcore":
+        plus = np.flatnonzero(eff == 1)
+        for v in plus:
+            if model.lam[v] == 0:
+                raise InfeasiblePinningError(f"vertex {v} pinned +1 but lambda is 0")
+        if len(plus) and not model.graph.is_independent_set(plus):
+            raise InfeasiblePinningError("pinned +1 set is not independent")
+        return eff
+    h = model.h
+    for v in np.flatnonzero(~np.isfinite(h)):
+        forced = 1 if h[v] > 0 else -1
+        if eff[v] not in (0, forced):
+            raise InfeasiblePinningError(f"vertex {v} pinned {eff[v]:+d} against infinite field")
+        eff[v] = forced
+    return eff
+
+
 def contract_pinning(
     model: SpinSystem, pin: Optional[Pinning]
 ) -> tuple[SpinSystem, list[int], float]:
@@ -306,27 +333,17 @@ def contract_pinning(
     pins; a contradiction between them and ``pin`` is infeasible.
 
     Raises:
-        InfeasiblePinningError: no extension of ``pin`` has positive weight
-            for reasons visible locally (hardcore +1 on a zero field or on
-            adjacent vertices; Ising pin against an infinite field).
+        InfeasiblePinningError: as :func:`effective_pins`.
     """
     n = model.n
-    parr = pin_array(pin, n)
+    eff = effective_pins(model, pin)
     if model.kind == "hardcore":
         lam = model.lam
-        for v in range(n):
-            if parr[v] == 1 and lam[v] == 0:
-                raise InfeasiblePinningError(f"vertex {v} pinned +1 but lambda is 0")
-        plus = [v for v in range(n) if parr[v] == 1]
-        if not model.graph.is_independent_set(plus):
-            raise InfeasiblePinningError("pinned +1 set is not independent")
+        plus = [v for v in range(n) if eff[v] == 1]
         forced_minus = set()
         for v in plus:
             forced_minus.update(int(u) for u in model.graph.neighbors(v))
-        for v in forced_minus:
-            if parr[v] == 1:  # unreachable given the independence check
-                raise InfeasiblePinningError("pin contradiction")
-        drop = set(plus) | forced_minus | {v for v in range(n) if parr[v] == -1}
+        drop = set(plus) | forced_minus | {v for v in range(n) if eff[v] == -1}
         kept = [v for v in range(n) if v not in drop]
         sub, old_to_new = model.graph.induced_subgraph(kept)
         log_const = float(np.sum(np.log(lam[plus]))) if plus else 0.0
@@ -334,15 +351,6 @@ def contract_pinning(
 
     # Ising: infinite fields behave as pins
     h = model.h
-    eff = parr.copy()
-    for v in range(n):
-        if not math.isfinite(h[v]):
-            forced = 1 if h[v] > 0 else -1
-            if eff[v] not in (0, forced):
-                raise InfeasiblePinningError(
-                    f"vertex {v} pinned {eff[v]:+d} against infinite field"
-                )
-            eff[v] = forced
     kept = [v for v in range(n) if eff[v] == 0]
     sub, old_to_new = model.graph.induced_subgraph(kept)
     new_h = np.array([h[v] for v in kept], dtype=np.float64)

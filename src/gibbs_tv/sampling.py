@@ -2,9 +2,16 @@
 
 The single-site chain is the hot loop of the whole package; it runs in a C
 kernel compiled with ``cc`` on first import, with a pure-Python twin when
-that cannot be built (``active_kernel()`` reports which).  Randomness is
-pre-drawn per chain, so the two kernels produce identical trajectories, and
-chains of a batch can be run on worker threads without changing the output.
+that cannot be built (``active_kernel()`` reports which).  A batch's chains
+run 64 to a kernel call, and the kernel draws their randomness itself from
+a counter-based generator, Philox4x64-10 (Salmon et al. 2011), under one
+key per batch: chain ``c``'s update at step ``t`` comes from the block at
+counter ``(t >> 1, c, 0, 0)``.  Any step can therefore be drawn alone, each
+chain draws only the steps it runs, the result depends neither on
+``threads`` nor on the chunking, and the two kernels produce identical
+samples.  A site is ``free[(x * n_free) >> 64]`` for a 64-bit word ``x``,
+within ``n_free / 2**64`` of uniform in total variation, and a uniform is
+``(x >> 11) * 2**-53``.
 
 The Glauber guarantee (a sample within TV distance ``delta`` of the target
 after ``T = C_mix * n * ln(n/delta)`` steps) holds in the uniqueness /
@@ -16,18 +23,19 @@ error.
 Each chain first tries to stop early by coupling from the past (Propp and
 Wilson 1996).  A bounding chain (hardcore: states {-1, +1, unknown}, Huber
 2004; Ising: an interval of the local field) runs over the last ``W0``,
-``2 W0``, ``4 W0``, ... of the chain's ``T`` pre-drawn updates, from every
-free vertex unknown.  A window that ends with every vertex known has found
-the state at step ``T`` from every start state, so it is the plain chain's
-output bit for bit, and the chain stops there.  ``W0 = ceil(n_free
-H(n_free))`` is the coupon-collector time, below which some free vertex is
-almost surely never updated.  The windows stop before their total passes
-``T / 2``, and when none coalesces the plain chain runs all ``T`` steps, so
-a chain costs at most ``1.5 T`` steps (:func:`worst_chain_steps`, which the
-whole-cost guards count).  Chains with ``T < 8 W0`` skip the early exit: at
-so few steps per coupon-collector time a window rarely coalesces within
-``T / 2``, and trying would only add work.  Samples, and everything drawn
-from them, are the same as without the early exit.
+``2 W0``, ``4 W0``, ... of the chain's ``T`` updates, from every free vertex
+unknown, and only these tail updates are drawn.  A window that ends with
+every vertex known has found the state at step ``T`` from every start
+state, so it is the plain chain's output bit for bit, and the chain stops
+there.  ``W0 = ceil(n_free H(n_free))`` is the coupon-collector time, below
+which some free vertex is almost surely never updated.  The windows stop
+before their total passes ``T / 2``, and when none coalesces the plain
+chain draws and runs all ``T`` steps, so a chain costs at most ``1.5 T``
+steps (:func:`worst_chain_steps`, which the whole-cost guards count).
+Chains with ``T < 8 W0`` skip the early exit: at so few steps per
+coupon-collector time a window rarely coalesces within ``T / 2``, and trying
+would only add work.  Samples, and everything drawn from them, are the same
+as without the early exit.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InputError, TooLargeError, check_number
-from .models import Pinning, SpinSystem, contract_pinning, pin_array
+from .models import Pinning, SpinSystem, effective_pins
 
 try:
     from . import _chain as _kernel
@@ -54,8 +62,7 @@ def active_kernel() -> str:
     return _kernel.KERNEL_NAME
 
 
-_CHUNK = 64  # chains per worker task; fixed so results are thread-count independent
-_SPINS = np.array([-1, 1], dtype=np.int8)
+_CHUNK = 64  # chains per kernel call and worker task
 EARLY_EXIT_MIN_SPAN = 8  # chains shorter than this many first windows skip the early exit
 
 MAX_DRAWS = 50_000_000  # refuse draw counts beyond this
@@ -97,15 +104,20 @@ class SamplerConfig:
         check_number("mixing_multiplier", self.mixing_multiplier, 0.0, strict=True)
         check_number("exact_fallback_cap", self.exact_fallback_cap, 0)
 
+    def enumerates(self, n_free: int) -> bool:
+        """Whether the sampler enumerates, rather than runs chains, over
+        ``n_free`` free vertices: always when nothing is free."""
+        return n_free <= self.exact_fallback_cap
+
 
 def chain_steps(n: int, n_free: int, delta: float, cfg: SamplerConfig) -> int:
     """Glauber steps per sample on ``n`` vertices, ``n_free`` of them free.
 
-    0 when nothing is free or the sampler enumerates instead
-    (``n_free <= exact_fallback_cap``); else ``ceil(C * n * ln(n/delta))``,
-    at least n.  A chain longer than ``MAX_CHAIN_STEPS`` is refused.
+    0 when the sampler enumerates instead (:meth:`SamplerConfig.enumerates`,
+    which nothing free implies); else ``ceil(C * n * ln(n/delta))``, at
+    least n.  A chain longer than ``MAX_CHAIN_STEPS`` is refused.
     """
-    if n_free == 0 or n_free <= cfg.exact_fallback_cap:
+    if cfg.enumerates(n_free):
         return 0
     return check_budget(
         lambda: max(n, cfg.mixing_multiplier * n * math.log(n / delta)),
@@ -171,29 +183,20 @@ class Sampler:
     ):
         self.cfg = cfg or SamplerConfig()
         self.model = model
-        self.pins = pin_array(pin, model.n)
-        # validates feasibility of the pinning (incl. against infinite fields)
-        contract_pinning(model, pin)
-        if model.kind == "ising" and not model.is_soft:
-            # infinite fields pin their vertices; the chain then only ever
-            # reads finite field entries
-            h = model.h
-            for v in range(model.n):
-                if not math.isfinite(h[v]):
-                    self.pins[v] = 1 if h[v] > 0 else -1
+        # checks the pinning's feasibility; infinite Ising fields pin their
+        # vertices, so the chain only ever reads finite field entries
+        self.pins = effective_pins(model, pin)
         self.free = np.flatnonzero(self.pins == 0).astype(np.int64)
         self._exact = None
-        if len(self.free) <= self.cfg.exact_fallback_cap:
+        if self.cfg.enumerates(len(self.free)):
             from . import exact  # deferred: exact imports models only
 
             dist = exact.distribution(model, pin, cap=max(model.n, 1))
             probs = np.exp(dist.log_probs)
             self._exact = (dist.configs, probs / probs.sum())
-        self._start = self.pins.copy()  # each chain's state before its Ising spins
         if model.kind == "hardcore":
             self._p_plus = model.lam / (1.0 + model.lam)
             self._weights = (self._p_plus,)
-            self._start[self.free] = -1
         else:
             self._weights = (model.csr_j, model.h)
 
@@ -207,34 +210,16 @@ class Sampler:
             raise InputError(f"delta must be in (0,1), got {delta}")
         return chain_steps(self.model.n, len(self.free), delta, self.cfg)
 
-    def _run_chain(self, rng, state, sites, us, bound, w0: int, budget: int) -> None:
-        """One chain of ``len(sites)`` steps into ``state``, drawing its
-        randomness into the chunk's ``sites`` and ``us``.  ``bound`` binds
-        these buffers for the early exit (:func:`early_exit` gives ``w0`` and
-        ``budget``), or is None when the chain skips it."""
-        np.copyto(state, self._start)
-        if self.model.kind == "ising":
-            state[self.free] = _SPINS[rng.integers(0, 2, size=len(self.free))]
-        steps = len(sites)
-        if steps == 0:
-            return
-        np.take(self.free, rng.integers(0, len(self.free), size=steps), out=sites)
-        rng.random(out=us)
-        g = self.model.graph
-        if self.model.kind == "hardcore":
-            if bound is None or not _kernel.coalesce_hardcore(bound, w0, budget)[1]:
-                _kernel.run_hardcore(g.indptr, g.indices, *self._weights, state, sites, us)
-        elif bound is None or not _kernel.coalesce_ising(bound, w0, budget)[1]:
-            _kernel.run_ising(g.indptr, g.indices, *self._weights, state, sites, us)
-
     def sample_batch(
         self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
     ) -> np.ndarray:
         """``count`` independent samples as a (count, n) int8 array.
 
-        Work is split into fixed-size chunks with generators spawned per
-        chunk, so the result depends only on ``rng`` and ``count`` -- not on
-        ``threads``.  A batch whose chains could take more than
+        One 128-bit key drawn from ``rng`` keys the batch's Philox stream,
+        in which each chain reads its own counters, so the result depends
+        only on ``rng`` and ``count`` -- not on ``threads`` or the chunking.
+        Chains run ``_CHUNK`` to a kernel call, each call on a worker thread
+        when ``threads > 1``.  A batch whose chains could take more than
         ``MAX_CHAIN_STEPS`` steps in all (:func:`worst_chain_steps` each) is
         refused before any of them runs.
         """
@@ -252,30 +237,21 @@ class Sampler:
             configs, probs = self._exact
             idx = rng.choice(len(probs), size=count, p=probs)
             return configs[idx]
-        n_chunks = (count + _CHUNK - 1) // _CHUNK
-        children = rng.spawn(n_chunks)
-
+        key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
         w0, budget = early_exit(len(self.free), steps)
         g = self.model.graph
+        out = np.empty((count, n), dtype=np.int8)
 
-        def run_chunk(args):
-            i, child = args
-            size = min(_CHUNK, count - i * _CHUNK)
-            out = np.empty((size, n), dtype=np.int8)
-            state, sites, us = np.empty(n, np.int8), np.empty(steps, np.int64), np.empty(steps)
-            bound = None
-            if w0:
-                bound = _kernel.bind(g.indptr, g.indices, self._weights, self.pins,
-                                     state, sites, us)
-            for j in range(size):
-                self._run_chain(child, state, sites, us, bound, w0, budget)
-                out[j] = state
-            return out
+        def run_chunk(first):
+            return _kernel.sample_chunk(g.indptr, g.indices, self._weights, self.pins, self.free,
+                                        key, out, first, min(_CHUNK, count - first), steps, w0,
+                                        budget)
 
-        tasks = list(enumerate(children))
-        if threads > 1 and n_chunks > 1:
+        firsts = range(0, count, _CHUNK)
+        if threads > 1 and len(firsts) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(run_chunk, tasks))
+                list(pool.map(run_chunk, firsts))
         else:
-            parts = [run_chunk(t) for t in tasks]
-        return np.vstack(parts)
+            for first in firsts:
+                run_chunk(first)
+        return out

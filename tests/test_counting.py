@@ -199,24 +199,18 @@ def test_annealing_count_on_chains(monkeypatch, name):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the count enumerated")
 
-    # chain steps through both entry points: the early exit and the plain chain
+    # chain steps run, as the kernel's chunk entry reports them
     steps = []
     kernel = sampling_mod._kernel
-    run = getattr(kernel, f"run_{model.kind}")
-    coalesce = getattr(kernel, f"coalesce_{model.kind}")
+    chunk = kernel.sample_chunk
 
-    def counted_run(*args):
-        steps.append(len(args[-1]))  # run_*(..., state, sites, us)
-        return run(*args)
-
-    def counted_coalesce(*args):
-        spent, coalesced = coalesce(*args)
+    def counted_chunk(*args):
+        spent, fallbacks = chunk(*args)
         steps.append(spent)
-        return spent, coalesced
+        return spent, fallbacks
 
     monkeypatch.setattr(exact, "distribution", no_enumeration)
-    monkeypatch.setattr(kernel, f"run_{model.kind}", counted_run)
-    monkeypatch.setattr(kernel, f"coalesce_{model.kind}", counted_coalesce)
+    monkeypatch.setattr(kernel, "sample_chunk", counted_chunk)
     cfg = CounterConfig(samples_per_level=4, boost_repeats=3, exact_fallback_cap=0)
     sampler_cfg = SamplerConfig(exact_fallback_cap=0)
     eps = 0.3

@@ -198,7 +198,7 @@ def test_basic_relative_refuses_long_batches(monkeypatch):
     params = meta_condition_params(mu, nu, min(marginal_lower_bound(mu).b,
                                                marginal_lower_bound(nu).b))
     assert params.holds
-    monkeypatch.setattr(sampling_mod.Sampler, "_run_chain", _no_call)
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk", _no_call)
     budget = replace(CHAINS_ONLY, T_override=50_000_000)
     t0 = time.perf_counter()
     with pytest.raises(TooLargeError, match="sample batch"):
@@ -489,7 +489,7 @@ def test_marginal_refuses_its_whole_cost(monkeypatch):
     g = path_graph(3)
     mu = HardcoreModel(g, [1.0, 1.0, 1.0])
     nu = HardcoreModel(g, [1.0, 2.0, 1.0])
-    monkeypatch.setattr(sampling_mod.Sampler, "_run_chain", _no_call)
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk", _no_call)
     budget = replace(CHAINS_ONLY, counter=CounterConfig(exact_fallback_cap=0))
     rt = _Runtime(budget, np.random.default_rng(0))
     one = rt.pattern_count_steps(mu, [0, 2], 0.1 / 8, 0.1**2 / 320)

@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
+from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.cli import build_parser, main
 from gibbs_tv.errors import InstanceFormatError
 from gibbs_tv.exact import exact_tv
 from gibbs_tv.graph import Graph, path_graph, random_graph
 from gibbs_tv.instances import emit_instance, instance_hash, parse_instance
 from gibbs_tv.models import HardcoreModel, IsingModel
-from gibbs_tv.sampling import Sampler
 
 
 MINIMAL_HARDCORE = json.dumps(
@@ -203,7 +203,8 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch):
     """A NaN or infinite number in a budget is invalid input (exit 2) before
     any chain step: --c-mix nan once shortened every chain to n steps."""
     pa, pb, *_ = _write_pair(tmp_path)
-    monkeypatch.setattr(Sampler, "_run_chain", lambda *a: pytest.fail("a chain ran"))
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk",
+                        lambda *a: pytest.fail("a chain ran"))
     for argv in (["sample", pa, "--c-mix", "nan", "--exact-sampler-cap", "0"],
                  ["sample", pa, "--c-mix", "inf"], ["sample", pa, "--c-mix", "-1"],
                  ["count", pa, "--samples-per-level", "nan"],
@@ -219,7 +220,8 @@ def test_cli_marginal_refuses_its_whole_cost(tmp_path, capsys, monkeypatch):
     counts that are each allowed but take 5.1e11 steps together: refused in
     one line before the first chain step."""
     pa, pb, *_ = _write_pair(tmp_path)
-    monkeypatch.setattr(Sampler, "_run_chain", lambda *a: pytest.fail("a chain ran"))
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk",
+                        lambda *a: pytest.fail("a chain ran"))
     t0 = time.perf_counter()
     assert main(["marginal-tv", pa, pb, "--subset", "a,c", "--exact-cap", "0",
                  "--exact-sampler-cap", "0", "--exact-counter-cap", "0"]) == 4
@@ -238,7 +240,7 @@ def test_cli_rejects_budgets_it_cannot_run(tmp_path, capsys, monkeypatch):
     def no_chains(*args, **kwargs):
         raise AssertionError("a chain ran")
 
-    monkeypatch.setattr(Sampler, "_run_chain", no_chains)
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk", no_chains)
     p3 = IsingModel(path_graph(3), {(0, 1): 0.1, (1, 2): 0.1}, [1e308, 0.0, 0.0])
     huge_field = tmp_path / "huge_field.json"
     huge_field.write_text(emit_instance(p3))

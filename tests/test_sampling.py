@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import gibbs_tv
 from gibbs_tv import _chain_py
+from gibbs_tv import models as models_mod
 from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.errors import InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.exact import distribution
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
-from gibbs_tv.models import HardcoreModel, IsingModel
+from gibbs_tv.models import HardcoreModel, IsingModel, contract_pinning
 from gibbs_tv.sampling import (
     Sampler,
     SamplerConfig,
@@ -198,12 +199,22 @@ def test_reproducibility_same_seed():
     assert np.array_equal(a, b)
 
 
-def test_threads_do_not_change_output():
-    model = HardcoreModel(path_graph(6), np.full(6, 0.7))
-    s = Sampler(model)
-    a = s.sample_batch(300, 0.05, np.random.default_rng(4), threads=1)
-    b = s.sample_batch(300, 0.05, np.random.default_rng(4), threads=3)
-    assert np.array_equal(a, b)
+def test_threads_do_not_change_output(monkeypatch):
+    """A batch is bit-identical at 1, 2 and 3 threads and at any chunk size,
+    on early-exit and on plain chains: each chain reads its own counters of
+    the batch's stream."""
+    g = path_graph(6)
+    for model in (HardcoreModel(g, np.full(6, 0.7)),
+                  IsingModel(g, {e: 0.3 for e in g.edges}, np.linspace(-0.5, 0.5, 6))):
+        for cfg in (SamplerConfig(), SamplerConfig(mixing_multiplier=1.0)):
+            s = Sampler(model, cfg=cfg)
+            a = s.sample_batch(300, 0.05, np.random.default_rng(4), threads=1)
+            for threads in (2, 3):
+                b = s.sample_batch(300, 0.05, np.random.default_rng(4), threads=threads)
+                assert np.array_equal(a, b)
+            with monkeypatch.context() as m:
+                m.setattr(sampling_mod, "_CHUNK", 7)
+                assert np.array_equal(a, s.sample_batch(300, 0.05, np.random.default_rng(4), 2))
 
 
 def _walk_both(compiled_chain, kind, args, state, sites, us, segments=5):
@@ -259,22 +270,47 @@ def test_kernels_agree_on_edge_cases(rng, compiled_chain):
                        np.full(g.n, start, dtype=np.int8), sites, us)
 
 
+def _record_chunks(monkeypatch, kernel) -> list:
+    """Record each ``kernel.sample_chunk`` call as ``(first, size, steps
+    run, chains that ran the plain chain)``."""
+    calls = []
+    chunk = kernel.sample_chunk
+
+    def recorded(*args):
+        spent, fallbacks = chunk(*args)
+        calls.append((args[7], args[8], spent, fallbacks))
+        return spent, fallbacks
+
+    monkeypatch.setattr(kernel, "sample_chunk", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sample_batch_identical_on_both_kernels(monkeypatch, compiled_chain, threads):
+    """Both kernels give the same bits, with and without pins, on early-exit
+    and on plain chains, and spend the same steps in each chunk with as many
+    chains falling back to the plain chain."""
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])  # 5, 6 isolated
     j = {e: 0.4 * (-1) ** k for k, e in enumerate(g.edges)}
     models = [
         (HardcoreModel(g, np.linspace(0.2, 2.0, g.n)), None),
         (HardcoreModel(g, np.linspace(0.2, 2.0, g.n)), {1: 1}),
+        (IsingModel(g, j, np.linspace(-1.0, 1.0, g.n)), None),
         (IsingModel(g, j, np.linspace(-1.0, 1.0, g.n)), {4: -1}),
     ]
     for model, pin in models:
-        batches = []
-        for kernel in (compiled_chain, _chain_py):
-            monkeypatch.setattr(sampling_mod, "_kernel", kernel)
-            sampler = sampling_mod.Sampler(model, pin)
-            batches.append(sampler.sample_batch(150, 0.05, np.random.default_rng(8), threads))
-        assert np.array_equal(*batches)
+        for cfg in (SamplerConfig(), SamplerConfig(mixing_multiplier=1.0)):
+            outcomes = []
+            for kernel in (compiled_chain, _chain_py):
+                with monkeypatch.context() as m:
+                    m.setattr(sampling_mod, "_kernel", kernel)
+                    calls = _record_chunks(m, kernel)
+                    sampler = sampling_mod.Sampler(model, pin, cfg)
+                    batch = sampler.sample_batch(150, 0.05, np.random.default_rng(8), threads)
+                outcomes.append((batch, sorted(calls)))
+            assert np.array_equal(outcomes[0][0], outcomes[1][0])
+            assert outcomes[0][1] == outcomes[1][1]
+            assert [c[:2] for c in outcomes[0][1]] == [(0, 64), (64, 64), (128, 22)]
 
 
 def _src_dir() -> str:
@@ -426,17 +462,15 @@ _FIELDS = st.sampled_from([800.0, -800.0, 354.4, -354.6, 1e308, -1e308]) | st.fl
 
 @st.composite
 def _chain_cases(draw):
-    """A small graph with pins, a hardcore or Ising model on it, a start
-    state, pre-drawn updates and an early-exit schedule."""
+    """A small graph with pins, a hardcore or Ising model on it, a Philox
+    key, a chunk of a batch's chains and an early-exit schedule."""
     n = draw(st.integers(1, 7))
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
     g = Graph(n, edges)
     pins = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=n, max_size=n)),
                     dtype=np.int8)
-    free = np.flatnonzero(pins == 0)
-    if len(free) == 0:
+    if not (pins == 0).any():
         pins[draw(st.integers(0, n - 1))] = 0
-        free = np.flatnonzero(pins == 0)
     if draw(st.booleans()):
         lam = np.array(draw(st.lists(_LAMBDAS, min_size=n, max_size=n)))
         kind, weights = "hardcore", (lam / (1.0 + lam),)
@@ -444,15 +478,22 @@ def _chain_cases(draw):
         j = {e: draw(_COUPLINGS) for e in edges}
         h = np.array(draw(st.lists(_FIELDS, min_size=n, max_size=n)))
         kind, weights = "ising", (IsingModel(g, j, h).csr_j, h)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key = np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2)),
+                   dtype=np.uint64)
+    first, size = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     steps = draw(st.integers(1, 300))
-    sites = free[rng.integers(0, len(free), size=steps)]
-    us = rng.random(steps)
-    start = pins.copy()
-    start[free] = rng.choice(np.array([-1, 1], dtype=np.int8), len(free))  # any start
-    w0 = draw(st.integers(1, 40))
+    w0 = draw(st.integers(0, 40))
     limit = draw(st.integers(0, steps + 5))
-    return kind, g, weights, pins, start, sites, us, w0, limit
+    return kind, g, weights, pins, key, first, size, steps, w0, limit
+
+
+def _plain_chain(kernel, kind, g, weights, start, key, chain, steps, free):
+    """``start`` after ``run_*`` of all ``steps`` updates of ``chain``'s
+    materialised stream."""
+    state = start.copy()
+    sites, us = _chain_py.stream(key, chain, 0, steps, free)
+    getattr(kernel, f"run_{kind}")(g.indptr, g.indices, *weights, state, sites, us)
+    return state
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the twin at 1e308
@@ -460,60 +501,96 @@ def _chain_cases(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_chain_cases())
 def test_early_exit_equals_the_plain_chain(compiled_chain, case):
-    """coalesce_* followed by the plain chain when it does not coalesce ends
-    in the plain chain's state bit for bit, on both kernels, which spend the
-    same steps and agree on whether a window coalesced.  A coalesced state is
-    where the plain chain ends from every start state."""
-    kind, g, weights, pins, start, sites, us, w0, limit = case
-    run = getattr(compiled_chain, f"run_{kind}")
-    plain = start.copy()
-    run(g.indptr, g.indices, *weights, plain, sites, us)
+    """Each row of a chunk is the plain chain run on the whole materialised
+    stream of its chain, from its start state, bit for bit, on both kernels,
+    which spend the same steps and fall back to the plain chain equally
+    often; rows outside the chunk stay untouched.  When every chain of the
+    chunk coalesced, its row is where the plain chain ends from every start
+    state."""
+    kind, g, weights, pins, key, first, size, steps, w0, limit = case
+    free = np.flatnonzero(pins == 0).astype(np.int64)
+    chains = range(first, first + size)
+    plain = {}
+    for c in chains:
+        start = pins.copy()
+        start[free] = -1 if kind == "hardcore" else _chain_py.start_spins(key, c, len(free))
+        plain[c] = _plain_chain(compiled_chain, kind, g, weights, start, key, c, steps, free)
     outcomes = []
     for kernel in (compiled_chain, _chain_py):
-        state = start.copy()
-        bound = kernel.bind(g.indptr, g.indices, weights, pins, state, sites, us)
-        spent, coalesced = getattr(kernel, f"coalesce_{kind}")(bound, w0, limit)
-        assert spent <= min(limit, len(sites))
-        if not coalesced:
-            assert np.array_equal(state, start)  # untouched
-            getattr(kernel, f"run_{kind}")(g.indptr, g.indices, *weights, state, sites, us)
-        assert np.array_equal(state, plain)
-        outcomes.append((spent, coalesced))
+        out = np.zeros((first + size + 1, g.n), dtype=np.int8)
+        spent, fallbacks = kernel.sample_chunk(g.indptr, g.indices, weights, pins, free, key,
+                                               out, first, size, steps, w0, limit)
+        for c in chains:
+            assert np.array_equal(out[c], plain[c])
+        assert not out[:first].any() and not out[first + size:].any()
+        assert fallbacks * steps <= spent <= size * min(limit, steps) + fallbacks * steps
+        outcomes.append((spent, fallbacks))
     assert outcomes[0] == outcomes[1]
-    event(f"{kind}, coalesced: {outcomes[0][1]}")
-    free = np.flatnonzero(pins == 0)
-    if outcomes[0][1] and len(free) <= 5:
-        for spins in itertools.product((-1, 1), repeat=len(free)):
-            other = pins.copy()
-            other[free] = spins
-            run(g.indptr, g.indices, *weights, other, sites, us)
-            assert np.array_equal(other, plain)
+    fallbacks = outcomes[0][1]
+    event(f"{kind}, chains that fell back: {fallbacks} of {size}")
+    if fallbacks == 0 and len(free) <= 5:
+        for c in chains:
+            for spins in itertools.product((-1, 1), repeat=len(free)):
+                start = pins.copy()
+                start[free] = spins
+                other = _plain_chain(compiled_chain, kind, g, weights, start, key, c, steps, free)
+                assert np.array_equal(other, plain[c])
 
 
-def _count_chain_entries(monkeypatch, kernel, kind):
-    """Record each call to the early exit (steps spent, coalesced) and to the
-    plain chain (its length)."""
-    calls = {"coalesce": [], "run": []}
-    coalesce, run = getattr(kernel, f"coalesce_{kind}"), getattr(kernel, f"run_{kind}")
+def test_philox_block_matches_numpy(compiled_chain):
+    """The kernel's Philox4x64-10 block is numpy's, for several keys and for
+    counters with nonzero upper words; and the twin's blocks, which numpy
+    draws by incrementing a 256-bit counter, carry across words as the
+    kernel's counters do."""
+    rng = np.random.default_rng(1)
+    keys = [(0, 0), (2**64 - 1, 2**64 - 1), *rng.integers(0, 2**64, (3, 2), np.uint64)]
+    top = 2**64 - 1
+    counters = [(0, 0, 0, 0), (5, 3, 1, 0), (0, 7, 0, 0), (0, 0, 0, 1), (top, top, 0, 2),
+                (top, top, top, top), tuple(rng.integers(0, 2**64, 4, np.uint64))]
 
-    def counted_coalesce(*args):
-        out = coalesce(*args)
-        calls["coalesce"].append(out)
+    def block(key, counter):
+        out = np.empty(4, dtype=np.uint64)
+        compiled_chain._lib.philox4x64_10(np.array(counter, dtype=np.uint64).ctypes.data,
+                                          np.array(key, dtype=np.uint64).ctypes.data,
+                                          out.ctypes.data)
         return out
 
-    def counted_run(*args):
-        calls["run"].append(len(args[-1]))
-        return run(*args)
+    def as_int(counter):
+        return sum(int(w) << (64 * i) for i, w in enumerate(counter))
 
-    monkeypatch.setattr(kernel, f"coalesce_{kind}", counted_coalesce)
-    monkeypatch.setattr(kernel, f"run_{kind}", counted_run)
-    return calls
+    for key in keys:
+        k = int(key[0]) | int(key[1]) << 64
+        for counter in counters:
+            c = as_int(counter)
+            ref = np.random.Philox(key=k, counter=(c - 1) % 2**256).random_raw(4)
+            assert np.array_equal(block(key, counter), ref)
+            following = [block(key, [(c + i) % 2**256 >> (64 * w) & top for w in range(4)])
+                         for i in range(3)]
+            assert np.array_equal(_chain_py._blocks(key, c, 3), np.concatenate(following))
+
+
+def test_streams_of_a_batch():
+    """The site map stays inside ``free`` and hits every free vertex;
+    uniforms lie in [0, 1); a window reads the tail of its chain's stream;
+    and two chains of one batch read different streams and start spins."""
+    key = np.array([7, 2**63 + 9], dtype=np.uint64)
+    free = np.arange(3, 1000, 7, dtype=np.int64)  # 143 free vertices
+    sites, us = _chain_py.stream(key, 0, 0, 20000, free)
+    assert set(sites.tolist()) == set(free.tolist())
+    assert np.all((0.0 <= us) & (us < 1.0))
+    tail = _chain_py.stream(key, 0, 12345, 20000, free)
+    assert np.array_equal(tail[0], sites[12345:]) and np.array_equal(tail[1], us[12345:])
+    other_sites, other_us = _chain_py.stream(key, 1, 0, 20000, free)
+    assert np.mean(sites == other_sites) < 0.05 and not np.any(us == other_us)
+    spins = [_chain_py.start_spins(key, c, 600) for c in (0, 1)]
+    assert 0.4 < np.mean(spins[0] == spins[1]) < 0.6
+    assert all(0.4 < np.mean(s == 1) < 0.6 for s in spins)
 
 
 @pytest.mark.parametrize("kind", ["hardcore", "ising"])
 def test_default_chains_stop_early(monkeypatch, kind):
-    """At the default multiplier every chain here coalesces, in fewer steps
-    than its length T, and the plain chain never runs."""
+    """At the default multiplier every chain here coalesces, within the
+    windows' budget T // 2 < T, and none runs the plain chain."""
     g = random_graph(8, 0.35, np.random.default_rng(2))
     if kind == "hardcore":
         model = HardcoreModel(g, np.linspace(0.3, 1.0, 8))
@@ -524,10 +601,12 @@ def test_default_chains_stop_early(monkeypatch, kind):
     steps = sampler.steps_for(0.05)
     w0, budget = early_exit(7, steps)
     assert w0 == math.ceil(7 * sum(1 / k for k in range(1, 8))) and budget == steps // 2
-    calls = _count_chain_entries(monkeypatch, sampling_mod._kernel, kind)
+    calls = _record_chunks(monkeypatch, sampling_mod._kernel)
     sampler.sample_batch(200, 0.05, np.random.default_rng(3))
-    assert len(calls["coalesce"]) == 200 and calls["run"] == []
-    assert all(coalesced and spent < steps for spent, coalesced in calls["coalesce"])
+    assert [(first, size) for first, size, _, _ in calls] == [(0, 64), (64, 64), (128, 64),
+                                                                (192, 8)]
+    assert all(fallbacks == 0 and 0 < spent <= size * budget
+               for _, size, spent, fallbacks in calls)
     assert worst_chain_steps(7, steps) == steps + steps // 2
 
 
@@ -540,9 +619,9 @@ def test_short_chains_skip_the_early_exit(monkeypatch):
                       SamplerConfig(mixing_multiplier=3.0))
     steps = sampler.steps_for(0.05)
     assert early_exit(270, steps) == (0, 0) and worst_chain_steps(270, steps) == steps
-    calls = _count_chain_entries(monkeypatch, sampling_mod._kernel, "hardcore")
+    calls = _record_chunks(monkeypatch, sampling_mod._kernel)
     sampler.sample_batch(3, 0.05, np.random.default_rng(0))
-    assert calls["coalesce"] == [] and calls["run"] == [steps] * 3
+    assert calls == [(0, 3, 3 * steps, 3)]
 
 
 def test_batch_guard_counts_the_worst_case(monkeypatch):
@@ -551,30 +630,85 @@ def test_batch_guard_counts_the_worst_case(monkeypatch):
     model = HardcoreModel(random_graph(8, 0.35, np.random.default_rng(2)), np.ones(8))
     sampler = Sampler(model)
     assert sampler.steps_for(0.05) == 813
-    monkeypatch.setattr(Sampler, "_run_chain", lambda *a: pytest.fail("a chain ran"))
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk",
+                        lambda *a: pytest.fail("a chain ran"))
     with pytest.raises(TooLargeError, match="sample batch"):
         sampler.sample_batch(100_000_000, 0.05, np.random.default_rng(0))
 
 
-def test_compiled_early_exit_validates_arrays(compiled_chain):
+def test_compiled_chunk_entry_validates_arrays(compiled_chain):
+    """Bad arrays raise TypeError or ValueError before any step, and leave
+    ``out`` untouched: the C entry refuses a neighbour, free vertex or pin
+    out of range itself."""
     g = path_graph(4)
+    model = IsingModel(g, {e: 0.2 for e in g.edges}, np.zeros(4))
     p_plus, pins = np.full(4, 0.5), np.zeros(4, dtype=np.int8)
-    state = np.full(4, -1, dtype=np.int8)
-    sites, us = np.arange(40, dtype=np.int64) % 4, np.full(40, 0.25)
-    with pytest.raises(TypeError):
-        compiled_chain.bind(g.indptr, g.indices, (p_plus,), pins.astype(np.int64), state, sites, us)
-    with pytest.raises(ValueError):
-        compiled_chain.bind(g.indptr, g.indices, (p_plus,), pins, state, sites, us[:-1])
-    with pytest.raises(TypeError):
-        compiled_chain.bind(g.indptr, g.indices, (p_plus, p_plus, p_plus), pins, state, sites, us)
-    bound = compiled_chain.bind(g.indptr, g.indices, (p_plus,), pins, state, sites, us)
-    with pytest.raises(TypeError):
-        compiled_chain.coalesce_ising(bound, 4, 20)
-    # a site off the graph in the windows it would read: refused before any
-    # step; one before them is left to the plain chain's check
-    sites[35] = 9
-    with pytest.raises(ValueError):
-        compiled_chain.coalesce_hardcore(bound, 4, 20)
-    assert np.array_equal(state, np.full(4, -1))
-    sites[35], sites[2] = 3, 9
-    assert compiled_chain.coalesce_hardcore(bound, 4, 20)[0] > 0
+    free, key = np.arange(4, dtype=np.int64), np.array([1, 2], dtype=np.uint64)
+    out = np.zeros((3, 4), dtype=np.int8)
+    good = dict(indptr=g.indptr, indices=g.indices, weights=(p_plus,), pins=pins, free=free,
+                key=key, out=out, first=1, size=2, steps=40, w0=4, limit=20)
+    frozen = np.zeros((3, 4), dtype=np.int8)
+    frozen.flags.writeable = False
+    bad = [
+        (TypeError, "pins", pins.astype(np.int64)),
+        (TypeError, "key", key.astype(np.int64)),
+        (TypeError, "free", free.astype(np.int32)),
+        (TypeError, "indptr", g.indptr.astype(np.int64)),
+        (TypeError, "weights", (p_plus, p_plus, p_plus)),
+        (TypeError, "weights", (p_plus.astype(np.float32),)),
+        (TypeError, "out", np.zeros((3, 4), dtype=np.int64)),
+        (TypeError, "out", np.zeros(12, dtype=np.int8)),
+        (ValueError, "key", np.arange(3, dtype=np.uint64)),
+        (ValueError, "weights", (np.full(3, 0.5),)),
+        (ValueError, "weights", (model.csr_j[:-1], model.h)),
+        (ValueError, "weights", (model.csr_j, np.zeros(5))),
+        (ValueError, "pins", pins[:3]),
+        (ValueError, "indptr", g.indptr[:-1]),
+        (ValueError, "out", np.zeros((3, 5), dtype=np.int8)),
+        (ValueError, "out", np.zeros((2, 4), dtype=np.int8)),  # no row 2
+        (ValueError, "out", np.zeros((3, 8), dtype=np.int8)[:, ::2]),
+        (ValueError, "out", frozen),
+        (ValueError, "first", -1),
+        (ValueError, "size", -1),
+        (ValueError, "steps", -1),
+        (ValueError, "w0", -1),
+        # refused by the C entry
+        (ValueError, "indices", g.indices + 1),  # a neighbour off the graph
+        (ValueError, "free", np.array([0, 4], dtype=np.int64)),
+        (ValueError, "free", np.array([-1, 2], dtype=np.int64)),
+        (ValueError, "free", np.empty(0, dtype=np.int64)),  # steps, but nothing free
+        (ValueError, "pins", np.array([0, 2, 0, 0], dtype=np.int8)),
+    ]
+    for error, name, value in bad:
+        args = dict(good, **{name: value})
+        with pytest.raises(error):
+            compiled_chain.sample_chunk(**args)
+        assert not out.any()
+    spent, fallbacks = compiled_chain.sample_chunk(**good)
+    assert spent > 0 and not out[0].any() and np.all(out[1:] != 0)
+    ising = dict(good, weights=(model.csr_j, model.h))
+    assert compiled_chain.sample_chunk(**ising)[0] > 0
+
+
+def test_sampler_checks_pins_without_contracting(monkeypatch):
+    """A Sampler checks its pinning without building the contracted model,
+    folds infinite Ising fields in as pins, and refuses an infeasible
+    pinning with contract_pinning's error."""
+    def no_contraction(*args, **kwargs):
+        pytest.fail("the Sampler contracted its pinning")
+
+    g = path_graph(4)
+    ising = IsingModel(g, {e: 0.2 for e in g.edges}, [math.inf, 0.0, -math.inf, 0.1])
+    hardcore = HardcoreModel(g, [0.0, 1.0, 1.0, 1.0])
+    with monkeypatch.context() as m:
+        m.setattr(models_mod, "contract_pinning", no_contraction)
+        m.setattr(sampling_mod, "contract_pinning", no_contraction, raising=False)
+        assert Sampler(ising, {1: 1}).pins.tolist() == [1, 1, -1, 0]
+        assert Sampler(hardcore, {1: 1, 2: -1}).pins.tolist() == [0, 1, -1, 0]
+    for model, pin in ((hardcore, {0: 1}), (hardcore, {1: 1, 2: 1}), (ising, {0: -1}),
+                       (ising, {2: 1})):
+        with pytest.raises(InfeasiblePinningError) as contracted:
+            contract_pinning(model, pin)
+        with pytest.raises(InfeasiblePinningError) as sampled:
+            Sampler(model, pin)
+        assert str(sampled.value) == str(contracted.value)
