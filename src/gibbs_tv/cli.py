@@ -177,11 +177,15 @@ def cmd_count(args) -> int:
         model, args.eps, _counter_cfg(args), np.random.default_rng(args.seed),
         _sampler_cfg(args), args.threads,
     )
-    payload = {"log_z": log_z, "z": math.exp(log_z), "epsilon": args.eps}
+    try:
+        z = math.exp(log_z)
+    except OverflowError:  # Z past the largest double: log Z carries it
+        z = None
+    payload = {"log_z": log_z, "z": z, "epsilon": args.eps}
     if args.json:
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(f"log Z = {log_z!r}\nZ     = {math.exp(log_z)!r}\n")
+        sys.stdout.write(f"log Z = {log_z!r}\nZ     = {math.inf if z is None else z!r}\n")
     return 0
 
 
@@ -339,6 +343,10 @@ def main(argv=None) -> int:
         return 4
     except GibbsTVError as e:
         sys.stderr.write(f"error: {e}\n")
+        return 1
+    except Exception as e:  # a bug, reported in one line rather than a traceback
+        msg = str(e).replace("\n", " ")
+        sys.stderr.write(f"unexpected error: {type(e).__name__}: {msg}\n")
         return 1
 
 

@@ -52,11 +52,6 @@ class CounterConfig:
         check_number("exact_fallback_cap", self.exact_fallback_cap, 0)
 
 
-def counts_exactly(model: SpinSystem, cfg: CounterConfig) -> bool:
-    """True when approx_count would serve this model from the exact shortcut."""
-    return model.n <= cfg.exact_fallback_cap
-
-
 def num_levels(model: SpinSystem) -> int:
     """Annealing path length: scales with the total log-weight budget.
 
@@ -119,25 +114,33 @@ class CountPlan(NamedTuple):
 
     ``model`` is the model actually counted (hardcore zero fields dropped).
     ``levels`` is 0 when no chain runs: the model is empty or enumerated.
-    ``chain_steps`` is the whole cost, over every repeat, level and draw,
-    with every chain at its worst case (:func:`sampling.worst_chain_steps`).
+    Each level draws ``draws`` samples at TV accuracy ``delta``.  The count
+    is the median of ``repeats`` medians of ``boost_repeats`` annealing
+    runs; ``repeats`` is ``2 ceil(ln(1/d)) + 1`` for a count boosted to
+    failure probability ``d`` (:func:`count_plan`'s ``delta``), else 1, and
+    1 whenever no chain runs.  ``chain_steps`` is the whole cost, every
+    chain at :func:`sampling.worst_chain_steps`.
     """
 
     model: SpinSystem
     levels: int = 0
     delta: float = 0.0
     draws: int = 0
+    repeats: int = 1
     chain_steps: int = 0
 
 
 def count_plan(
-    model: SpinSystem, epsilon: float, cfg: CounterConfig, sampler_cfg: SamplerConfig
+    model: SpinSystem, epsilon: float, cfg: CounterConfig, sampler_cfg: SamplerConfig,
+    delta: Optional[float] = None,
 ) -> CountPlan:
-    """The plan of ``approx_count(model, epsilon, cfg, ..., sampler_cfg)``.
+    """The plan of ``approx_count(model, epsilon, cfg, ..., sampler_cfg,
+    delta=delta)``.
 
-    Raises TooLargeError when the draws per level exceed ``MAX_DRAWS`` or
-    the whole count (repeats x levels x draws x worst-case steps per chain)
-    exceeds ``MAX_CHAIN_STEPS``.
+    Raises TooLargeError when the draws per level exceed ``MAX_DRAWS``, or
+    the path or one chain ``MAX_CHAIN_STEPS``.  Whoever runs the plan guards
+    its whole cost, ``chain_steps``: :func:`approx_count` alone, or an
+    estimator together with its other counts and samples.
     """
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
@@ -145,20 +148,18 @@ def count_plan(
         raise MustPreprocessError("counting needs a soft Ising model; preprocess first")
     if model.kind == "hardcore":
         model, _ = drop_zero_fields(model)
-    if model.n == 0 or counts_exactly(model, cfg):
+    if model.n == 0 or model.n <= cfg.exact_fallback_cap:
         return CountPlan(model)
     draws = check_budget(
         lambda: cfg.samples_per_level / epsilon**2, "each annealing level"
     )
     ell = num_levels(model)
-    delta = min(0.5, epsilon / (20.0 * ell))
+    level_delta = min(0.5, epsilon / (20.0 * ell))
+    repeats = 1 if delta is None else 2 * math.ceil(math.log(1.0 / delta)) + 1
     # no vertex is pinned
-    worst = worst_chain_steps(model.n, chain_steps(model.n, model.n, delta, sampler_cfg))
-    total = check_budget(
-        lambda: cfg.boost_repeats * ell * draws * worst, "the annealing counter",
-        MAX_CHAIN_STEPS, "chain steps",
-    )
-    return CountPlan(model, ell, delta, draws, total)
+    worst = worst_chain_steps(chain_steps(model.n, model.n, level_delta, sampler_cfg))
+    total = repeats * cfg.boost_repeats * ell * draws * worst
+    return CountPlan(model, ell, level_delta, draws, repeats, total)
 
 
 def approx_count(
@@ -168,26 +169,35 @@ def approx_count(
     rng: Optional[np.random.Generator] = None,
     sampler_cfg: Optional[SamplerConfig] = None,
     threads: int = 1,
+    delta: Optional[float] = None,
 ) -> float:
-    """Estimate log Z with P[(1-eps) Z <= Z_hat <= (1+eps) Z] >= 0.99.
+    """Estimate log Z with P[(1-eps) Z <= Z_hat <= (1+eps) Z] >= 0.99, or
+    >= 1 - delta when ``delta`` is given.
 
     The guarantee is inherited from the sampler; hardcore zero fields are
-    stripped exactly first.  Returns the log estimate.  Every refusal of
-    :func:`count_plan` comes before any chain step.
+    stripped exactly first.  The 0.99 count is the median of
+    ``boost_repeats`` annealing runs, and a ``delta`` takes the median of
+    ``CountPlan.repeats`` such counts (Jerrum, Valiant and Vazirani 1986).
+    Returns the log estimate.  Every refusal of :func:`count_plan`, and of
+    a whole cost above ``MAX_CHAIN_STEPS``, comes before any chain step.
     """
     if threads < 1:
         raise InputError(f"threads must be at least 1, got {threads}")
     cfg = cfg or CounterConfig()
     rng = rng if rng is not None else np.random.default_rng()
     sampler_cfg = sampler_cfg or SamplerConfig()
-    plan = count_plan(model, epsilon, cfg, sampler_cfg)
+    plan = count_plan(model, epsilon, cfg, sampler_cfg, delta)
+    check_budget(lambda: plan.chain_steps, "the annealing counter", MAX_CHAIN_STEPS, "chain steps")
     model = plan.model
     if model.n == 0:
         return 0.0  # Z = 1 either way: empty product / 2^0
     if plan.levels == 0:
         return exact.exact_partition(model, cap=model.n)
-    runs = [
-        _single_count(model, plan.levels, plan.delta, plan.draws, child, sampler_cfg, threads)
-        for child in rng.spawn(cfg.boost_repeats)
+    medians = [
+        np.median([
+            _single_count(model, plan.levels, plan.delta, plan.draws, child, sampler_cfg, threads)
+            for child in rng.spawn(cfg.boost_repeats)
+        ])
+        for _ in range(plan.repeats)
     ]
-    return float(np.median(runs))
+    return float(np.median(medians))

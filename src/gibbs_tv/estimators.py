@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from . import exact
-from .counting import CounterConfig, approx_count, count_plan, counts_exactly
+from .counting import CounterConfig, approx_count, count_plan
 from .errors import GateError, InfeasiblePinningError, InputError, check_number
 from .models import (
     NEG_INF,
@@ -54,14 +54,7 @@ from .models import (
     preprocess,
     tv_lower_bound_constant,
 )
-from .sampling import (
-    MAX_CHAIN_STEPS,
-    Sampler,
-    SamplerConfig,
-    chain_steps,
-    check_budget,
-    worst_chain_steps,
-)
+from .sampling import MAX_CHAIN_STEPS, Sampler, SamplerConfig, check_budget
 
 
 @dataclass(frozen=True)
@@ -181,28 +174,17 @@ class _Runtime:
             self._samplers[model] = Sampler(model, None, self.budget.sampler)
         return self._samplers[model]
 
-    def batch_chain_steps(self, model: SpinSystem, delta: float) -> int:
-        """Worst-case steps of one chain of ``sample_batch(model, _, delta)``."""
-        sampler = self.sampler(model)
-        return worst_chain_steps(len(sampler.free), sampler.steps_for(delta))
-
     def sample_batch(self, model: SpinSystem, count: int, delta: float) -> np.ndarray:
         self.samples_used += count
         return self.sampler(model).sample_batch(count, delta, self.rng, self.budget.threads)
 
-    def _repeats(self, reduced: SpinSystem, delta: Optional[float]) -> int:
-        if delta is None or counts_exactly(reduced, self.budget.counter):
-            return 1  # no boosting asked, or a deterministic answer
-        return 2 * math.ceil(math.log(1.0 / delta)) + 1
-
     def count_steps(
         self, model: SpinSystem, eps: float, delta: Optional[float] = None
     ) -> int:
-        """Worst-case chain steps of ``count(model, eps, None, delta)``,
-        refused as one of its counts would be."""
+        """Worst-case chain steps of ``count(model, eps, None, delta)``."""
         reduced, _, _ = contract_pinning(model, None)
-        plan = count_plan(reduced, eps, self.budget.counter, self.budget.sampler)
-        return self._repeats(reduced, delta) * plan.chain_steps
+        return count_plan(reduced, eps, self.budget.counter, self.budget.sampler,
+                          delta).chain_steps
 
     def pattern_count_steps(
         self, model: SpinSystem, subset: list[int], eps: float, delta: float
@@ -215,8 +197,7 @@ class _Runtime:
         moves an Ising field by at most twice the couplings to ``subset``.
         The count of that contraction with every field raised by this much
         has at least as many vertices, edges and annealing levels as any
-        pattern's, so at least as long chains; each chain counts at ``1.5 T``,
-        the worst case of any shorter chain.
+        pattern's, so at least as many chains, each at least as long.
         """
         sub = set(subset)
         if model.kind == "hardcore":
@@ -230,14 +211,8 @@ class _Runtime:
                     shift[v if u in sub else u] += 2.0 * abs(j)
             bound = IsingModel(reduced.graph, reduced.couplings,
                                np.abs(reduced.h) + shift[kept])
-        cfg = self.budget.sampler
-        plan = count_plan(bound, eps, self.budget.counter, cfg)
-        if plan.levels == 0:
-            return 0
-        steps = chain_steps(plan.model.n, plan.model.n, plan.delta, cfg)
-        per_chain = steps + steps // 2
-        return (self._repeats(plan.model, delta) * self.budget.counter.boost_repeats
-                * plan.levels * plan.draws * per_chain)
+        return count_plan(bound, eps, self.budget.counter, self.budget.sampler,
+                          delta).chain_steps
 
     def count(
         self,
@@ -246,29 +221,22 @@ class _Runtime:
         pin: Optional[Mapping[int, int]] = None,
         delta: Optional[float] = None,
     ) -> float:
-        """log Z^pin-hat: the median of k counts of the contracted model.
+        """log Z^pin-hat: ``approx_count`` of the contracted model, boosted
+        to failure probability ``delta`` when it is given.
 
-        The pinning (and any infinite Ising field) is contracted once.  k is
-        1 without ``delta``, else 2 ceil(ln(1/delta)) + 1 for failure
-        probability ~delta.  Infeasible pinnings give -inf.
+        The pinning (and any infinite Ising field) is contracted here, and
+        each of the count's repeats (:class:`CountPlan`) is one counter
+        call.  Infeasible pinnings give -inf.
         """
         try:
             reduced, _, log_const = contract_pinning(model, pin)
         except InfeasiblePinningError:
             self.counter_calls += 1
             return NEG_INF
-        repeats = self._repeats(reduced, delta)
-        self.counter_calls += repeats
-        if reduced.n == 0:
-            return log_const
-        vals = [
-            log_const + approx_count(
-                reduced, eps, self.budget.counter, self.rng,
-                self.budget.sampler, self.budget.threads,
-            )
-            for _ in range(repeats)
-        ]
-        return float(np.median(vals))
+        counter, sampler = self.budget.counter, self.budget.sampler
+        self.counter_calls += count_plan(reduced, eps, counter, sampler, delta).repeats
+        return log_const + approx_count(reduced, eps, counter, self.rng, sampler,
+                                        self.budget.threads, delta)
 
     def finish(self, report: EstimateReport) -> EstimateReport:
         report.samples_used = self.samples_used
@@ -329,7 +297,7 @@ def additive_tv(
     tcount = _draw_count(budget, lambda: 64.0 / epsilon**2, "additive estimator")
     check_budget(
         lambda: rt.count_steps(mu, epsilon / 4) + rt.count_steps(nu, epsilon / 4)
-        + tcount * rt.batch_chain_steps(mu, epsilon / 4),
+        + rt.sampler(mu).batch_steps(tcount, epsilon / 4),
         "the additive estimator", MAX_CHAIN_STEPS, "chain steps",
     )
     log_zm = rt.count(mu, epsilon / 4)
@@ -374,7 +342,7 @@ def marginal_additive_tv(
     check_budget(
         lambda: rt.count_steps(mu, epsilon / 8, delta_cc)
         + rt.count_steps(nu, epsilon / 8, delta_cc)
-        + tcount * rt.batch_chain_steps(mu, epsilon / 8)
+        + rt.sampler(mu).batch_steps(tcount, epsilon / 8)
         + patterns * (rt.pattern_count_steps(mu, sub, epsilon / 8, delta_cc)
                       + rt.pattern_count_steps(nu, sub, epsilon / 8, delta_cc)),
         "the marginal estimator", MAX_CHAIN_STEPS, "chain steps",

@@ -157,10 +157,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi G(n, p)."""
     edges = [

@@ -31,11 +31,12 @@ there.  ``W0 = ceil(n_free H(n_free))`` is the coupon-collector time, below
 which some free vertex is almost surely never updated.  The windows stop
 before their total passes ``T / 2``, and when none coalesces the plain
 chain draws and runs all ``T`` steps, so a chain costs at most ``1.5 T``
-steps (:func:`worst_chain_steps`, which the whole-cost guards count).
-Chains with ``T < 8 W0`` skip the early exit: at so few steps per
+steps.  Chains with ``T < 8 W0`` skip the early exit: at so few steps per
 coupon-collector time a window rarely coalesces within ``T / 2``, and trying
-would only add work.  Samples, and everything drawn from them, are the same
-as without the early exit.
+would only add work.  The whole-cost guards charge every chain ``1.5 T``
+(:func:`worst_chain_steps`), those that skip the early exit included.
+Samples, and everything drawn from them, are the same as without the early
+exit.
 """
 
 from __future__ import annotations
@@ -147,29 +148,11 @@ def early_exit(n_free: int, steps: int) -> tuple[int, int]:
     return w0, steps // 2
 
 
-def worst_chain_steps(n_free: int, steps: int) -> int:
-    """Most steps a chain of length ``steps`` can take: ``steps``, plus the
-    window budget of an early exit that never coalesces."""
-    return steps + early_exit(n_free, steps)[1]
-
-
-def conditional_plus_probability(model: SpinSystem, sigma: np.ndarray, v: int) -> float:
-    """Heat-bath probability that ``v`` flips to +1 given the rest of ``sigma``."""
-    if model.kind == "hardcore":
-        if any(sigma[u] == 1 for u in model.graph.neighbors(v)):
-            return 0.0
-        lam = model.lam[v]
-        return lam / (1.0 + lam)
-    lo, hi = model.graph.indptr[v], model.graph.indptr[v + 1]
-    c = model.h[v] + float(
-        np.dot(model.csr_j[lo:hi], sigma[model.graph.indices[lo:hi]])
-    )
-    a = -2.0 * c
-    if a > 709.0:
-        return 0.0
-    if a < -709.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(a))
+def worst_chain_steps(steps: int) -> int:
+    """Steps the whole-cost guards charge a chain of length ``steps``:
+    ``steps``, plus the window budget of an early exit that never coalesces
+    (``steps // 2``), whether or not the chain tries one."""
+    return steps + steps // 2
 
 
 class Sampler:
@@ -210,6 +193,11 @@ class Sampler:
             raise InputError(f"delta must be in (0,1), got {delta}")
         return chain_steps(self.model.n, len(self.free), delta, self.cfg)
 
+    def batch_steps(self, count: int, delta: float) -> int:
+        """Most chain steps ``sample_batch(count, delta, ...)`` can take:
+        ``count`` chains at :func:`worst_chain_steps` each."""
+        return count * worst_chain_steps(self.steps_for(delta))
+
     def sample_batch(
         self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
     ) -> np.ndarray:
@@ -220,16 +208,16 @@ class Sampler:
         only on ``rng`` and ``count`` -- not on ``threads`` or the chunking.
         Chains run ``_CHUNK`` to a kernel call, each call on a worker thread
         when ``threads > 1``.  A batch whose chains could take more than
-        ``MAX_CHAIN_STEPS`` steps in all (:func:`worst_chain_steps` each) is
-        refused before any of them runs.
+        ``MAX_CHAIN_STEPS`` steps in all (:meth:`batch_steps`) is refused
+        before any of them runs.
         """
         if threads < 1:
             raise InputError(f"threads must be at least 1, got {threads}")
         if count < 0:
             raise InputError(f"sample count must be nonnegative, got {count}")
         steps = self.steps_for(delta)  # validates delta on every path
-        worst = worst_chain_steps(len(self.free), steps)
-        check_budget(lambda: count * worst, "the sample batch", MAX_CHAIN_STEPS, "chain steps")
+        check_budget(lambda: self.batch_steps(count, delta), "the sample batch",
+                     MAX_CHAIN_STEPS, "chain steps")
         n = self.model.n
         if count == 0:
             return np.empty((0, n), dtype=np.int8)

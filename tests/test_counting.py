@@ -9,7 +9,7 @@ from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.counting import (
     CounterConfig,
     approx_count,
-    counts_exactly,
+    count_plan,
     num_levels,
     _level_model,
 )
@@ -34,9 +34,11 @@ def test_trivial_models_counted_exactly(rng):
 
 
 def test_exact_shortcut():
+    """An enumerated count runs no chain, so a delta does not repeat it."""
     model = HardcoreModel(path_graph(4), np.full(4, 0.9))
     cfg = CounterConfig(exact_fallback_cap=10)
-    assert counts_exactly(model, cfg)
+    plan = count_plan(model, 0.3, cfg, SamplerConfig(), delta=1e-3)
+    assert (plan.levels, plan.repeats, plan.chain_steps) == (0, 1, 0)
     got = approx_count(model, 0.3, cfg, np.random.default_rng(0))
     assert got == exact_partition(model)
 

@@ -9,7 +9,7 @@ import pytest
 
 from gibbs_tv import estimators as estimators_mod
 from gibbs_tv import sampling as sampling_mod
-from gibbs_tv.counting import CounterConfig, count_plan
+from gibbs_tv.counting import CounterConfig, approx_count, count_plan
 from gibbs_tv.errors import GateError, InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.estimators import (
     EstimatorBudget,
@@ -229,9 +229,7 @@ def test_partition_big_small():
 
     with pytest.raises(GateError):  # distance above the override threshold
         partition_big_small(mu, HardcoreModel(g, lam_hi + 1.0), 0.25, adv_budget())
-    from gibbs_tv.graph import complete_graph
-
-    k4 = complete_graph(4)
+    k4 = Graph(4, itertools.combinations(range(4), 2))
     beyond = HardcoreModel(k4, np.full(4, 5.0))  # above lambda_c(3) = 4
     with pytest.raises(GateError):
         partition_big_small(beyond, beyond, 0.25, adv_budget())
@@ -521,8 +519,8 @@ def test_pattern_count_bound_covers_every_pattern(kind):
                 reduced = estimators_mod.contract_pinning(model, pin)[0]
             except InfeasiblePinningError:
                 continue
-            plan = count_plan(reduced, 0.2, budget.counter, budget.sampler)
-            assert rt._repeats(reduced, 1e-3) * plan.chain_steps <= bound
+            plan = count_plan(reduced, 0.2, budget.counter, budget.sampler, delta=1e-3)
+            assert plan.chain_steps <= bound
 
 
 def test_sample_count_shapes():
@@ -674,3 +672,26 @@ def test_advanced_with_glauber_sampler(rng):
             est = advanced_relative_tv(mu, nu, 0.3, budget, child).estimate
             hits += abs(est - truth) <= 0.3 * truth
     assert hits >= 4
+
+
+def test_a_seed_reproduces_its_result():
+    """Glauber chains with every exact cap at 0, under a reduced budget: one
+    seed gives fixed draw and count totals, and estimates fixed to 1e-12
+    (a changed random stream moves them by far more).  The marginal call
+    runs boosted conditional counts."""
+    budget = EstimatorBudget(
+        exact_cap=0, sampler=SamplerConfig(exact_fallback_cap=0),
+        counter=CounterConfig(samples_per_level=0.25, boost_repeats=1, exact_fallback_cap=0),
+    )
+    g = path_graph(3)
+    mu = HardcoreModel(g, [0.5, 0.7, 0.5])
+    nu = HardcoreModel(g, [0.9, 0.3, 0.6])
+    add = additive_tv(mu, nu, 0.5, budget, np.random.default_rng(11))
+    marg = marginal_additive_tv(mu, nu, [0, 2], 0.5, budget, np.random.default_rng(11))
+    log_z = approx_count(HardcoreModel(path_graph(6), np.full(6, 0.8)), 0.5, budget.counter,
+                         np.random.default_rng(11), budget.sampler)
+    assert (add.counter_calls, add.samples_used) == (2, 256)
+    assert (marg.counter_calls, marg.samples_used) == (74, 256)
+    assert add.estimate == pytest.approx(0.1928275075996619, rel=1e-12, abs=0)
+    assert marg.estimate == pytest.approx(0.18921358581720926, rel=1e-12, abs=0)
+    assert log_z == pytest.approx(1.7645133346233388, rel=1e-12, abs=0)

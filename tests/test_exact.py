@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -175,11 +176,9 @@ def test_count_via_tv_queries_examples():
     assert count_via_tv_queries(path_graph(3)) == 5
     assert count_via_tv_queries(cycle_graph(3)) == 4
     # K4 has max degree 3: 1 + 4 independent sets
-    from gibbs_tv.graph import complete_graph
-
-    assert count_via_tv_queries(complete_graph(4)) == 5
+    assert count_via_tv_queries(Graph(4, itertools.combinations(range(4), 2))) == 5
     with pytest.raises(InputError):
-        count_via_tv_queries(complete_graph(5))
+        count_via_tv_queries(Graph(5, itertools.combinations(range(5), 2)))
 
 
 def test_count_via_tv_queries_matches_enumeration(rng):

@@ -160,6 +160,46 @@ def test_cli_check_sample_count(tmp_path, capsys):
     assert payload["z"] == pytest.approx(5.0)
 
 
+def test_cli_count_past_the_largest_double(tmp_path, capsys):
+    """log Z = 2 log(2 cosh 400) > 709.78: Z does not fit in a double, so it
+    prints as null in JSON and as inf in text, next to log Z."""
+    path = tmp_path / "wide.json"
+    path.write_text(emit_instance(IsingModel(Graph(2), {}, [400.0, 400.0])))
+    log_z = 2 * (400.0 + math.log1p(math.exp(-800.0)))
+    args = ["count", str(path), "--exact-counter-cap", "2"]
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["z"] is None and payload["log_z"] == pytest.approx(log_z)
+    assert main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert float(out[0].split("=")[1]) == pytest.approx(log_z)
+    assert out[1] == "Z     = inf"
+
+
+def test_cli_unexpected_error_is_one_line(tmp_path, capsys, monkeypatch):
+    """An exception outside the package's own exits 1 with one line naming
+    it; KeyboardInterrupt still propagates."""
+    from gibbs_tv import cli
+
+    pa, *_ = _write_pair(tmp_path)
+
+    def boom(args):
+        raise RuntimeError("kernel\nexploded")
+
+    monkeypatch.setattr(cli, "cmd_check", boom)
+    assert main(["check", pa]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "unexpected error: RuntimeError: kernel exploded\n"
+    assert captured.out == ""
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_check", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", pa])
+
+
 def test_cli_reduce_demo(tmp_path, capsys):
     pa, *_ = _write_pair(tmp_path)
     assert main(["reduce-demo", pa, "--json"]) == 0

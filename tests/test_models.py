@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from gibbs_tv.errors import (
     TooLargeError,
 )
 from gibbs_tv.exact import exact_tv
-from gibbs_tv.graph import Graph, complete_graph, cycle_graph, path_graph, random_graph
+from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import (
     HardcoreModel,
     IsingModel,
@@ -112,7 +113,7 @@ def test_parameter_distance_pseudometric(rng):
 
 def test_check_uniqueness():
     assert lambda_c(3) == pytest.approx(4.0)
-    k4 = complete_graph(4)  # max degree 3
+    k4 = Graph(4, itertools.combinations(range(4), 2))  # max degree 3
     assert check_uniqueness(HardcoreModel(k4, [2.0] * 4)) == pytest.approx(0.5)
     assert check_uniqueness(HardcoreModel(k4, [5.0, 1.0, 1.0, 1.0])) is None
     # max degree <= 2 is always unique
@@ -128,12 +129,12 @@ def test_check_ising_condition():
     assert cond.tag == "spectral" and cond.witness == pytest.approx(1.0)
 
     # K4 with J = 0.3 has spectral spread 1.2, all couplings/fields >= 0
-    k4 = complete_graph(4)
+    k4 = Graph(4, itertools.combinations(range(4), 2))
     ferro = IsingModel(k4, {e: 0.3 for e in k4.edges}, [0.1] * 4)
     assert check_ising_condition(ferro).tag == "ferromagnetic-consistent"
 
     # K5: degree 4, uniform negative coupling at the uniqueness boundary
-    k5 = complete_graph(5)
+    k5 = Graph(5, itertools.combinations(range(5), 2))
     beta = math.log(0.5) / 2.0
     anti = IsingModel(k5, {e: beta for e in k5.edges}, [-0.2] * 5)
     got = check_ising_condition(anti)
