@@ -1,4 +1,5 @@
-"""Command-line driver: estimate, count, sample, check, and run suites."""
+"""Command-line driver: estimate TV distances, count, sample, report an
+instance's regime, and count independent sets through TV queries."""
 
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .models import (
     marginal_lower_bound,
 )
 from .sampling import Sampler, SamplerConfig, active_kernel
-from .suites import SUITES, format_table, rows_to_csv, run_suite
 
 
 def _sampler_flags(parser: argparse.ArgumentParser) -> None:
@@ -252,24 +252,6 @@ def cmd_reduce_demo(args) -> int:
     return 0 if counted == truth else 4
 
 
-def cmd_suite(args) -> int:
-    rows = run_suite(args.name, cases=args.cases, seed=args.seed or 0)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rows_to_csv(rows))
-    if args.json:
-        payload = [
-            {"suite": r.suite, "case_id": r.case_id, "seed": r.seed,
-             "budget": r.budget, "estimate": r.estimate, "truth": r.truth,
-             "abs_err": r.abs_err, "rel_err": r.rel_err, "pass": r.passed}
-            for r in rows
-        ]
-        sys.stdout.write(json.dumps(payload) + "\n")
-    else:
-        sys.stdout.write(format_table(rows) + "\n")
-    return 0 if all(r.passed for r in rows) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbs-tv",
@@ -316,14 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     _json_flag(p)
     p.set_defaults(func=cmd_reduce_demo)
-
-    p = sub.add_parser("suite", help="run a verification suite")
-    p.add_argument("name", choices=sorted(SUITES))
-    p.add_argument("--cases", type=int, default=50)
-    p.add_argument("--out", default=None, help="write CSV rows here")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    _json_flag(p)
-    p.set_defaults(func=cmd_suite)
 
     return parser
 

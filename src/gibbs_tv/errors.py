@@ -49,10 +49,11 @@ class NoLowerBoundError(OracleError):
 
 def check_number(name: str, value, low: float, strict: bool = False) -> None:
     """Raise InputError unless ``value`` is a finite number at least ``low``
-    (above it when ``strict``); NaN and infinities are refused."""
+    (above it when ``strict``); NaN and infinities are refused, and so is an
+    integer too large for a double, which is infinite as a float."""
     try:
         ok = math.isfinite(value) and (value > low if strict else value >= low)
-    except TypeError:
+    except (TypeError, OverflowError):
         ok = False
     if not ok:
         bound = f"above {low:g}" if strict else f"at least {low:g}"

@@ -632,7 +632,8 @@ def advanced_relative_tv(
     samples; exact for identical pairs and immune to the all-minus collapse
     that defeats the plain weight-ratio estimator when fields are below one
     sample's resolution.  The ratio estimate and the mean share one draw
-    count T.
+    count T; the worst-case chain steps of both batches are added up and
+    refused above ``MAX_CHAIN_STEPS`` before the first of them runs.
     """
     _check_pair(mu, nu)
     if not 0 < epsilon < 1:
@@ -642,6 +643,12 @@ def advanced_relative_tv(
     t = min(budget.t, len(part.small))
     n = mu.n
     tcount = _advanced_draws(n, part.kappa, t, epsilon, budget)
+    sampler = rt.sampler(mu)
+    check_budget(
+        lambda: sampler.batch_steps(tcount, 1.0 / (1000.0 * tcount))
+        + sampler.batch_steps(tcount, 1.0 / (100.0 * tcount)),
+        "the advanced estimator", MAX_CHAIN_STEPS, "chain steps",
+    )
     trunc = functools.cache(lambda plus: truncated_conditional(mu, nu, part, plus, t))
     r_tilde = _tilde_ratio(mu, nu, part.big, trunc, rt, tcount)
     xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))

@@ -194,12 +194,18 @@ def exact_marginal_tv(
 # Transfer-matrix shortcut for graphs of maximum degree <= 2
 
 
-def deg2_partition(graph: Graph, lam: np.ndarray) -> float:
-    """Hardcore partition function of a disjoint union of paths and cycles."""
+def _deg2_scaled(graph: Graph, lam: np.ndarray) -> tuple[float, int]:
+    """Hardcore partition function of a disjoint union of paths and cycles,
+    as ``(m, e)`` with ``Z = m * 2**e``.
+
+    The path recursion and the cycle's transfer-matrix product are rescaled
+    by a power of two at every step, which is exact, so ``m`` carries the
+    same rounding as the unscaled product and never overflows.
+    """
     if graph.max_degree() > 2:
         raise InputError("transfer-matrix evaluation needs max degree <= 2")
     seen = np.zeros(graph.n, dtype=bool)
-    total = 1.0
+    total, total_exp = 1.0, 0
     for start in range(graph.n):
         if seen[start]:
             continue
@@ -233,6 +239,9 @@ def deg2_partition(graph: Graph, lam: np.ndarray) -> float:
             z_minus, z_plus = 1.0, lam[order[0]]
             for v in order[1:]:
                 z_minus, z_plus = z_minus + z_plus, lam[v] * z_minus
+                _, e = math.frexp(max(z_minus, z_plus))
+                z_minus, z_plus = math.ldexp(z_minus, -e), math.ldexp(z_plus, -e)
+                total_exp += e
             total *= z_minus + z_plus
         else:  # cycle: trace of the transfer-matrix product
             order = [comp[0]]
@@ -245,16 +254,34 @@ def deg2_partition(graph: Graph, lam: np.ndarray) -> float:
             mat = np.eye(2)
             for v in order:
                 mat = mat @ np.array([[1.0, lam[v]], [1.0, 0.0]])
+                _, e = math.frexp(np.max(mat))
+                mat = np.ldexp(mat, -e)
+                total_exp += e
             total *= np.trace(mat)
-    return float(total)
+        total, e = math.frexp(total)
+        total_exp += e
+    return float(total), total_exp
+
+
+def deg2_partition(graph: Graph, lam: np.ndarray) -> float:
+    """Hardcore partition function of a disjoint union of paths and cycles;
+    ``inf`` past the largest double."""
+    m, e = _deg2_scaled(graph, lam)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
 
 
 def deg2_plus_marginal(graph: Graph, lam: np.ndarray, v: int) -> float:
-    """P(v in the random independent set) on a max-degree-<=2 graph."""
+    """P(v in the random independent set) on a max-degree-<=2 graph, at any
+    size: the two partition functions meet as mantissas and exponents."""
     closed = {v} | {int(u) for u in graph.neighbors(v)}
     keep = [u for u in range(graph.n) if u not in closed]
     sub, _ = graph.induced_subgraph(keep)
-    return lam[v] * deg2_partition(sub, lam[keep]) / deg2_partition(graph, lam)
+    m_sub, e_sub = _deg2_scaled(sub, lam[keep])
+    m, e = _deg2_scaled(graph, lam)
+    return math.ldexp(lam[v] * m_sub / m, e_sub - e)
 
 
 # ---------------------------------------------------------------------------

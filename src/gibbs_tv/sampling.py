@@ -75,13 +75,14 @@ def check_budget(
 ) -> int:
     """``ceil(formula())``, refused with TooLargeError above ``limit``.
 
-    The formula is evaluated here so that one overflowing on a tiny epsilon
-    or a huge constant (``OverflowError``, or ``ZeroDivisionError`` once
-    ``epsilon**2`` underflows) counts as an infinite cost rather than
+    The formula is evaluated, and its value taken as a float, here so that
+    one overflowing on a tiny epsilon or a huge constant (``OverflowError``,
+    also from an integer too large for a double, or ``ZeroDivisionError``
+    once ``epsilon**2`` underflows) counts as an infinite cost rather than
     escaping.
     """
     try:
-        cost = formula()
+        cost = float(formula())
     except (OverflowError, ZeroDivisionError):
         cost = math.inf
     if not cost <= limit:  # also refuses nan
@@ -209,7 +210,8 @@ class Sampler:
         Chains run ``_CHUNK`` to a kernel call, each call on a worker thread
         when ``threads > 1``.  A batch whose chains could take more than
         ``MAX_CHAIN_STEPS`` steps in all (:meth:`batch_steps`) is refused
-        before any of them runs.
+        before any of them runs, and so is one of more than ``MAX_DRAWS``
+        enumerated samples.
         """
         if threads < 1:
             raise InputError(f"threads must be at least 1, got {threads}")
@@ -222,6 +224,7 @@ class Sampler:
         if count == 0:
             return np.empty((0, n), dtype=np.int8)
         if self._exact is not None:
+            check_budget(lambda: count, "the sample batch")
             configs, probs = self._exact
             idx = rng.choice(len(probs), size=count, p=probs)
             return configs[idx]

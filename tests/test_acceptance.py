@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 
 from gibbs_tv import exact
-from gibbs_tv import suites as S
 from gibbs_tv.counting import CounterConfig, approx_count
 from gibbs_tv.estimators import (
     EstimatorBudget,
@@ -24,25 +23,29 @@ from gibbs_tv.estimators import (
     marginal_additive_tv,
     meta_condition_params,
 )
+from gibbs_tv.graph import random_graph
 from gibbs_tv.models import (
     HardcoreModel,
+    IsingModel,
     check_uniqueness,
     marginal_lower_bound,
     parameter_distance,
 )
 from gibbs_tv.sampling import SamplerConfig
-from gibbs_tv.suites import (
-    ADVANCED_KAPPA,
-    ADVANCED_THETA,
+from gibbs_tv.suites import ADVANCED_KAPPA, ADVANCED_THETA
+from oracles import (
     big_small_pair,
     brute_force_marginal_bound,
+    counting_instances,
     exact_big_small,
     fixed_additive_pairs,
     fixed_advanced_pairs,
     fixed_basic_pairs,
-    counting_instances,
+    oracle_equivalence_checks,
     random_hardcore_pair,
     random_ising_pair,
+    reduction_demo_checks,
+    truncation_checks,
 )
 
 
@@ -62,7 +65,7 @@ def exact_budget(**kw) -> EstimatorBudget:
 
 def test_criterion_1_exact_identity_suite():
     """E[W] = Z_nu/Z_mu and (Z_mu/2Z_nu) E|E[W]-W| = TV to 1e-10, 200 pairs."""
-    rows = S.suite_oracle_equivalence(cases=200, seed=11)
+    rows = oracle_equivalence_checks(cases=200, seed=11)
     failures = [r for r in rows if not r.passed]
     ok = not failures and len(rows) >= 400
     announce(f"ACCEPTANCE 1 exact-identity ({len(rows)} checks): "
@@ -130,7 +133,7 @@ def test_criterion_3_structural_bounds():
 
 def test_criterion_4_truncation_exactness():
     """Full-size truncation reproduces conditional partitions and f exactly."""
-    rows = S.suite_truncation(cases=100, seed=44)
+    rows = truncation_checks(cases=100, seed=44)
     failures = [r for r in rows if not r.passed]
     ok = not failures and len(rows) == 200
     announce(f"ACCEPTANCE 4 truncation-exactness ({len(rows)} checks): "
@@ -262,7 +265,7 @@ def test_criterion_8_counting_contract():
 def test_criterion_9_reduction_demo():
     """TV-query counting reproduces exact independent-set counts on every
     connected graph with n <= 7 and max degree <= 3."""
-    rows = S.suite_reduction_demo(max_n=7, seed=0)
+    rows = reduction_demo_checks(max_n=7)
     failures = [r for r in rows if not r.passed]
     ok = not failures and len(rows) >= 100
     announce(f"ACCEPTANCE 9 reduction-demo ({len(rows)} graphs): "
@@ -278,15 +281,13 @@ def test_criterion_10_marginal_bound_oracle():
     for i in range(100):
         crng = np.random.default_rng(int(rng.integers(0, 2**31)))
         n = int(crng.integers(2, 9))
-        g = S.random_graph(n, 0.4, crng)
+        g = random_graph(n, 0.4, crng)
         if crng.random() < 0.5:
             lam = crng.uniform(0.05, 2.5, n)
             if crng.random() < 0.25:
                 lam[int(crng.integers(0, n))] = 0.0
             model = HardcoreModel(g, lam)
         else:
-            from gibbs_tv.models import IsingModel
-
             model = IsingModel(
                 g,
                 {e: float(crng.uniform(-0.8, 0.8)) for e in g.edges},

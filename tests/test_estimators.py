@@ -31,7 +31,16 @@ from gibbs_tv.exact import distribution, exact_marginal_tv, exact_partition, exa
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel, marginal_lower_bound
 from gibbs_tv.sampling import SamplerConfig
-from gibbs_tv.suites import ADVANCED_KAPPA, ADVANCED_THETA, fixed_basic_pairs
+from gibbs_tv.suites import ADVANCED_KAPPA, ADVANCED_THETA
+from oracles import (
+    big_small_pair,
+    exact_big_small,
+    exact_w_moments,
+    fixed_advanced_pairs,
+    fixed_basic_pairs,
+    random_soft_pair,
+    small_parameter_pair,
+)
 
 
 def adv_budget(**kw):
@@ -124,6 +133,22 @@ def test_meta_condition_params_formulas():
     far = HardcoreModel(g, np.full(10, 1.4))
     gate = meta_condition_params(mu, far, b=1.0 / 3.0, c_tv_par=1.0 / 27.0)
     assert not gate.holds and "exceeds" in gate.reason
+
+
+def test_meta_condition_holds_on_exact_moments():
+    """On pairs within the threshold, the (K, L) of meta_condition_params
+    hold for the exact weight ratio W: sd(W) <= K TV and E[W] >= 1/L."""
+    rng = np.random.default_rng(2)
+    seeds = [int(rng.integers(0, 2**31)) for _ in range(30)][24:]
+    for i, seed in enumerate(seeds):
+        kind = "hardcore" if i % 2 == 0 else "ising"
+        mu, nu, _ = small_parameter_pair(np.random.default_rng(seed), kind=kind)
+        b = min(marginal_lower_bound(mu).b, marginal_lower_bound(nu).b)
+        params = meta_condition_params(mu, nu, b)
+        mom = exact_w_moments(mu, nu)
+        assert params.holds, (i, params.reason)
+        assert math.sqrt(mom["var_w"]) <= params.K * exact_tv(mu, nu) + 1e-12, i
+        assert mom["e_w"] >= 1.0 / params.L, i
 
 
 def test_basic_relative(exact_budget, rng):
@@ -496,6 +521,25 @@ def test_marginal_refuses_its_whole_cost(monkeypatch):
         marginal_additive_tv(mu, nu, [0, 2], 0.1, budget, np.random.default_rng(0))
 
 
+def test_advanced_refuses_its_whole_cost(monkeypatch):
+    """On chains, the ratio batch and the main batch of the advanced
+    estimator each fit under the limit at 1e7 draws, but not together:
+    refused before the first chain step."""
+    mu, nu = fixed_advanced_pairs()[0]
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk", _no_call)
+    budget = replace(CHAINS_ONLY, kappa_override=ADVANCED_KAPPA,
+                     theta_override=ADVANCED_THETA, override_gates=True, T_override=10**7)
+    sampler = _Runtime(budget, None).sampler(mu)
+    for delta in (1e-10, 1e-9):  # the two batches' accuracies at 1e7 draws
+        assert sampler.batch_steps(10**7, delta) < sampling_mod.MAX_CHAIN_STEPS
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TooLargeError, match="advanced estimator"):
+            advanced_relative_tv(mu, nu, 0.25, budget, np.random.default_rng(0))
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("kind", ["hardcore", "ising"])
 def test_pattern_count_bound_covers_every_pattern(kind):
     """pattern_count_steps bounds the worst-case steps of the boosted count
@@ -546,8 +590,6 @@ def test_sample_count_shapes():
 def test_truncation_sandwich(rng):
     """0 <= f - f_t everywhere; the truncation-bound coefficient caps the gap
     whenever the gate preconditions hold."""
-    from gibbs_tv.suites import big_small_pair, exact_big_small
-
     for _ in range(20):
         crng = np.random.default_rng(int(rng.integers(0, 2**31)))
         mu, nu, part, theta = big_small_pair(crng, n_max=8)
@@ -566,6 +608,30 @@ def test_truncation_sandwich(rng):
                 assert theta / part.kappa < 1.0 / (10 * n)
                 assert theta + part.kappa < 1.0 / (10 * n)
                 assert gap <= eta_truncation_bound(part.kappa, t, n) * d + 1e-14
+
+
+# Empirical ceiling for Var(f)/TV^2 relative to (n^3 + n/kappa): the largest
+# ratio observed over 150 generated instances at n <= 10 was 0.013; the guard
+# flags drift past a 4x margin rather than asserting any theoretical constant.
+VARIANCE_GUARD_CONSTANT = 0.05
+
+
+@pytest.mark.parametrize("cases, seed", [(4, 5), (3, 0)])
+def test_variance_guard(cases, seed):
+    """Regression guard: Var_{mu_B}(f) / TV^2 stays below the calibrated
+    multiple of (n^3 + n/kappa), with f the big/small statistic."""
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        crng = np.random.default_rng(int(rng.integers(0, 2**31)))
+        mu, nu, part, _ = big_small_pair(crng, n_max=9)
+        rec = exact_big_small(mu, nu, part)
+        d = exact_tv(mu, nu)
+        if d == 0.0:
+            continue
+        mean_f = math.fsum(r["mu_b"] * r["f"] for r in rec.values())
+        var_f = math.fsum(r["mu_b"] * (r["f"] - mean_f) ** 2 for r in rec.values())
+        n = mu.n
+        assert var_f / d**2 <= VARIANCE_GUARD_CONSTANT * (n**3 + n / part.kappa), i
 
 
 def test_tilde_ratio_single_vertex_accuracy(rng):
@@ -602,8 +668,6 @@ def test_dispatch_advanced_at_n30(rng):
 
 def test_estimates_stay_in_range(rng, exact_budget):
     """Every reported estimate lies in [0, 1 + additive slack]."""
-    from gibbs_tv.suites import random_soft_pair
-
     for _ in range(10):
         crng = np.random.default_rng(int(rng.integers(0, 2**31)))
         mu, nu = random_soft_pair(crng, n_max=6)

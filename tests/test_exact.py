@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ def test_deg2_transfer_matrix(rng):
                 np.exp(dist.log_probs[dist.configs[:, v] > 0]).tolist()
             )
             assert deg2_plus_marginal(g, lam, v) == pytest.approx(truth, abs=1e-12)
+
+
+def test_deg2_at_any_size():
+    """At lambda 1, Z is the Fibonacci number F(n+2) on a path of n vertices
+    and the Lucas number L(n) on a cycle.  Past the largest double Z is inf,
+    and a marginal still tends to the infinite line's (5 - sqrt 5)/10."""
+    fib = [0, 1]
+    while len(fib) < 1003:
+        fib.append(fib[-1] + fib[-2])
+    for n in (10, 500, 1000):
+        ones = np.ones(n)
+        lucas = fib[n - 1] + fib[n + 1]
+        assert deg2_partition(path_graph(n), ones) == pytest.approx(fib[n + 2], rel=1e-12)
+        assert deg2_partition(cycle_graph(n), ones) == pytest.approx(lucas, rel=1e-12)
+        # v is in the set iff its two neighbours are not: a path of n - 3 left
+        assert deg2_plus_marginal(cycle_graph(n), ones, 0) == pytest.approx(
+            float(Fraction(fib[n - 1], lucas)), rel=1e-12)
+    limit = (5 - math.sqrt(5)) / 10
+    for g in (path_graph(3000), cycle_graph(3000)):
+        ones = np.ones(g.n)
+        assert deg2_partition(g, ones) == math.inf
+        assert deg2_plus_marginal(g, ones, 1500) == pytest.approx(limit, abs=1e-12)
 
 
 def test_deg2_requires_low_degree():

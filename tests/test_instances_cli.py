@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -207,16 +210,6 @@ def test_cli_reduce_demo(tmp_path, capsys):
     assert payload["tv_query_count"] == 5 and payload["match"]
 
 
-def test_cli_suite_csv(tmp_path, capsys):
-    out_csv = tmp_path / "rows.csv"
-    rc = main(["suite", "variance-guard", "--cases", "3", "--seed", "0",
-               "--out", str(out_csv)])
-    capsys.readouterr()
-    assert rc == 0
-    header = out_csv.read_text().splitlines()[0]
-    assert header == "suite,case_id,seed,budget,estimate,truth,abs_err,rel_err,pass"
-
-
 def test_cli_exit_codes(tmp_path, capsys):
     pa, pb, *_ = _write_pair(tmp_path)
     assert main(["tv", pa, str(tmp_path / "missing.json")]) == 2
@@ -253,6 +246,48 @@ def test_cli_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch):
                  ["tv", pa, pb, "--exact-cap", "-1"]):
         assert main(argv) == 2, argv
         assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_refuses_numbers_past_a_double(tmp_path, capsys, monkeypatch):
+    """An integer flag too large for a double is infinite: an invalid budget
+    (exit 2), or a sample batch too large to run (exit 4).  An enumerated
+    batch of more than MAX_DRAWS samples is refused too, before it is
+    allocated.  Each refusal is one line, and no chain runs."""
+    pa, *_ = _write_pair(tmp_path)
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk",
+                        lambda *a: pytest.fail("a chain ran"))
+    huge = "1" + "0" * 400
+    for argv, code in ((["sample", pa, "--num", huge], 4),
+                       (["count", pa, "--boost-repeats", huge], 2),
+                       (["tv", pa, pa, "--t-override", huge], 2),
+                       (["sample", pa, "--exact-sampler-cap", "20", "--num", "10" + "0" * 12], 4)):
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unexpected" not in err, (argv, err)
+
+
+def test_package_needs_only_numpy():
+    """Every gibbs_tv module imports with networkx, hypothesis and pytest
+    blocked, and the CLI offers exactly the pipeline's six subcommands."""
+    import gibbs_tv
+
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "for name in ('networkx', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "import gibbs_tv\n"
+        "for info in pkgutil.iter_modules(gibbs_tv.__path__):\n"
+        "    if info.name != '_chain' or gibbs_tv.active_kernel() == 'compiled':\n"
+        "        importlib.import_module('gibbs_tv.' + info.name)\n"
+        "from gibbs_tv.cli import main\n"
+        "main(['--help'])\n"
+    )
+    src = os.path.dirname(os.path.dirname(gibbs_tv.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    commands = proc.stdout.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert commands == ["tv", "marginal-tv", "count", "sample", "check", "reduce-demo"]
 
 
 def test_cli_marginal_refuses_its_whole_cost(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,7 @@ from gibbs_tv.models import (
     preprocess,
     tv_lower_bound_constant,
 )
-from gibbs_tv.suites import brute_force_marginal_bound, random_ising_pair
+from oracles import brute_force_marginal_bound, random_hardcore_pair, random_ising_pair
 
 
 def log_weight(model, sigma):
@@ -196,6 +196,24 @@ def test_tv_lower_bound_constant_cases():
     # both hardcore cases apply: the larger constant wins
     r = RegimeReport("hardcore", 0.5, None, 0.5)
     assert tv_lower_bound_constant("hardcore", r) == pytest.approx(0.125)
+
+
+def test_tv_lower_bound_constant_holds_on_random_pairs():
+    """TV >= C d_par with C from tv_lower_bound_constant(kind, pair_regime),
+    the constant the dispatcher uses, on the three pair classes in turn:
+    hardcore in uniqueness, hardcore with bounded fields, and Ising."""
+    rng = np.random.default_rng(2)
+    for i in range(12):
+        crng = np.random.default_rng(int(rng.integers(0, 2**31)))
+        if i % 3 == 0:
+            mu, nu = random_hardcore_pair(crng, style="uniqueness")
+            assert check_uniqueness(mu) is not None and check_uniqueness(nu) is not None
+        elif i % 3 == 1:
+            mu, nu = random_hardcore_pair(crng, style="bounded")
+        else:
+            mu, nu = random_ising_pair(crng)
+        c = tv_lower_bound_constant(mu.kind, pair_regime(mu, nu))
+        assert exact_tv(mu, nu) + 1e-12 >= c * parameter_distance(mu, nu), i
 
 
 def test_contract_pinning_hardcore():
