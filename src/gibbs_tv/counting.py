@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exact
 from .errors import InputError, MustPreprocessError, OracleError, check_number
-from .models import HardcoreModel, IsingModel, SpinSystem, drop_zero_fields
+from .models import HardcoreModel, IsingModel, SpinSystem, contract_pinning
 from .sampling import (
     MAX_CHAIN_STEPS,
     Sampler,
@@ -61,8 +61,8 @@ def num_levels(model: SpinSystem) -> int:
     if model.kind == "hardcore":
         span = float(np.max(np.log1p(model.lam))) * model.n if model.n else 0.0
     else:
-        mags = [abs(v) for v in model.couplings.values()]
-        mag = max([float(np.max(np.abs(model.h))) if model.n else 0.0] + mags)
+        mag = max(float(np.max(np.abs(model.h))) if model.n else 0.0,
+                  float(np.max(np.abs(model.csr_j))) if model.graph.m else 0.0)
         span = (model.n + model.graph.m) * mag
     return max(1, check_budget(
         lambda: LEVELS_MULTIPLIER * (1.0 + span), "the annealing path",
@@ -112,7 +112,7 @@ def _single_count(
 class CountPlan(NamedTuple):
     """How :func:`approx_count` counts one model, fixed before any chain step.
 
-    ``model`` is the model actually counted (hardcore zero fields dropped).
+    ``model`` is the model actually counted (forced spins contracted).
     ``levels`` is 0 when no chain runs: the model is empty or enumerated.
     Each level draws ``draws`` samples at TV accuracy ``delta``.  The count
     is the median of ``repeats`` medians of ``boost_repeats`` annealing
@@ -146,8 +146,7 @@ def count_plan(
         raise InputError(f"epsilon must be in (0,1), got {epsilon}")
     if model.kind == "ising" and not model.is_soft:
         raise MustPreprocessError("counting needs a soft Ising model; preprocess first")
-    if model.kind == "hardcore":
-        model, _ = drop_zero_fields(model)
+    model, _, _ = contract_pinning(model, None)
     if model.n == 0 or model.n <= cfg.exact_fallback_cap:
         return CountPlan(model)
     draws = check_budget(
@@ -175,7 +174,7 @@ def approx_count(
     >= 1 - delta when ``delta`` is given.
 
     The guarantee is inherited from the sampler; hardcore zero fields are
-    stripped exactly first.  The 0.99 count is the median of
+    contracted exactly first.  The 0.99 count is the median of
     ``boost_repeats`` annealing runs, and a ``delta`` takes the median of
     ``CountPlan.repeats`` such counts (Jerrum, Valiant and Vazirani 1986).
     Returns the log estimate.  Every refusal of :func:`count_plan`, and of

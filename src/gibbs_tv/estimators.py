@@ -192,7 +192,7 @@ class _Runtime:
         """Worst-case chain steps of ``count(model, eps, pin, delta)``, bounded
         over every pinning ``pin`` of ``subset``.
 
-        Pinning ``subset`` to -1 (to +1 against an infinite Ising field)
+        Pinning ``subset`` to -1 (to its forced spin where it has one)
         keeps the most vertices and edges a pinning can, and flipping pins
         moves an Ising field by at most twice the couplings to ``subset``.
         The count of that contraction with every field raised by this much
@@ -200,17 +200,14 @@ class _Runtime:
         pattern's, so at least as many chains, each at least as long.
         """
         sub = set(subset)
-        if model.kind == "hardcore":
-            bound, _, _ = contract_pinning(model, {v: -1 for v in sub})
-        else:
-            base = {v: 1 if model.h[v] == math.inf else -1 for v in sub}
-            reduced, kept, _ = contract_pinning(model, base)
+        base = {v: int(model.forced[v]) or -1 for v in sub}
+        bound, kept, _ = contract_pinning(model, base)
+        if model.kind == "ising":
             shift = np.zeros(model.n)
             for (u, v), j in model.couplings.items():
                 if (u in sub) != (v in sub):
                     shift[v if u in sub else u] += 2.0 * abs(j)
-            bound = IsingModel(reduced.graph, reduced.couplings,
-                               np.abs(reduced.h) + shift[kept])
+            bound = IsingModel(bound.graph, bound.couplings, np.abs(bound.h) + shift[kept])
         return count_plan(bound, eps, self.budget.counter, self.budget.sampler,
                           delta).chain_steps
 
@@ -224,7 +221,7 @@ class _Runtime:
         """log Z^pin-hat: ``approx_count`` of the contracted model, boosted
         to failure probability ``delta`` when it is given.
 
-        The pinning (and any infinite Ising field) is contracted here, and
+        The pinning (and any forced spin) is contracted here, and
         each of the count's repeats (:class:`CountPlan`) is one counter
         call.  Infeasible pinnings give -inf.
         """
@@ -392,7 +389,7 @@ def meta_condition_params(
     """
     _check_pair(mu, nu)
     if c_tv_par is None:
-        c_tv_par = tv_lower_bound_constant(mu.kind, pair_regime(mu, nu))
+        c_tv_par = tv_lower_bound_constant(pair_regime(mu, nu))
     if d_par is None:
         d_par = parameter_distance(mu, nu)
     theta = section_theta(mu, nu, b)
@@ -709,7 +706,7 @@ def _dispatch_branch(
 
     regime = pair_regime(mu2, nu2)
     gating["b"] = b = regime.marginal_bound
-    gating["c_tv_par"] = c_tv = tv_lower_bound_constant(mu2.kind, regime)
+    gating["c_tv_par"] = c_tv = tv_lower_bound_constant(regime)
     gating["theta"] = theta = section_theta(mu2, nu2, b)
 
     if budget.mode == "auto" and d >= theta:

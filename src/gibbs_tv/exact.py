@@ -80,7 +80,7 @@ def support_configs(
     _check_cap(model.n, cap)
     pins = pin_array(pin, model.n)
     if model.kind == "hardcore":
-        return _independent_configs(model.graph, model.lam > 0, pins)
+        return _independent_configs(model.graph, model.forced == 0, pins)
     return _all_configs(model.n, pins)
 
 
@@ -119,7 +119,7 @@ def _union_support(mu: SpinSystem, nu: SpinSystem, cap: int) -> np.ndarray:
     _check_pair(mu, nu)
     _check_cap(mu.n, cap)
     if mu.kind == "hardcore":
-        allow = (mu.lam > 0) | (nu.lam > 0)
+        allow = (mu.forced == 0) | (nu.forced == 0)
         return _independent_configs(mu.graph, allow, np.zeros(mu.n, dtype=np.int8))
     return _all_configs(mu.n, np.zeros(mu.n, dtype=np.int8))
 

@@ -18,7 +18,7 @@ from .errors import InputError
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("n", "m", "indptr", "indices", "_edges")
+    __slots__ = ("n", "m", "indptr", "indices", "eu", "ev", "csr_edge", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -38,17 +38,19 @@ class Graph:
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.m = len(self._edges)
 
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        degrees = [len(a) for a in adj]
+        # endpoint arrays aligned with ``edges``, and the edge behind each
+        # CSR slot: every edge fills one slot at each endpoint
+        ends = np.array(self._edges, dtype=np.int64).reshape(self.m, 2)
+        self.eu, self.ev = ends[:, 0], ends[:, 1]
+        src = np.concatenate([self.eu, self.ev])
+        dst = np.concatenate([self.ev, self.eu])
+        order = np.lexsort((dst, src))
         self.indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(degrees, out=self.indptr[1:])
-        self.indices = np.empty(self.m * 2, dtype=np.int32)
-        for v, neigh in enumerate(adj):
-            neigh.sort()
-            self.indices[self.indptr[v] : self.indptr[v + 1]] = neigh
+        np.cumsum(np.bincount(src, minlength=self.n), out=self.indptr[1:])
+        self.indices = dst[order].astype(np.int32)
+        self.csr_edge = np.tile(np.arange(self.m, dtype=np.int64), 2)[order]
+        for arr in (self.eu, self.ev, self.csr_edge):
+            arr.flags.writeable = False
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -1,12 +1,19 @@
 """Hardcore and Ising models: weights, parameter distance, regime checks.
 
 All weights live in log space (an Ising weight ``exp(H)`` overflows for
-modest ``n`` otherwise); ``-inf`` encodes weight zero.  Infinite external
-fields in an Ising model pin a vertex; their contribution to the Hamiltonian
-is a constant shared by every consistent configuration and is dropped from
-``log_weight``, which therefore returns the log weight of the *conditioned*
-distribution.  Estimators never see such models: :func:`preprocess`
-eliminates infinite fields (and hardcore zero fields) first.
+modest ``n`` otherwise); ``-inf`` encodes weight zero.
+
+Some fields fix a vertex's spin in every configuration of positive weight:
+a hardcore zero field fixes it at -1, an infinite Ising field at the field's
+sign.  Each model names these spins once, in its read-only int8 array
+``forced`` (0 where the spin is free to move), and everything that handles
+hard constraints reads it.  An infinite field's contribution to the
+Hamiltonian is a constant shared by every consistent configuration and is
+dropped from ``log_weight``, which therefore returns the log weight of the
+*conditioned* distribution.  :func:`contract_pinning` is the one
+contraction: it removes forced spins together with any pins by
+self-reducibility, and :func:`preprocess` uses it to reduce a pair to soft
+models.
 """
 
 from __future__ import annotations
@@ -33,6 +40,11 @@ NEG_INF = float("-inf")
 Pinning = Mapping[int, int]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def pin_array(pin: Optional[Pinning], n: int) -> np.ndarray:
     """Pinning as an int8 array: 0 = free, otherwise the pinned spin."""
     arr = np.zeros(n, dtype=np.int8)
@@ -51,7 +63,7 @@ class HardcoreModel:
     """Hardcore model (G, lambda): weight prod(lambda_v) over independent +1 sets."""
 
     kind = "hardcore"
-    __slots__ = ("graph", "lam", "_log_lam", "_eu", "_ev")
+    __slots__ = ("graph", "lam", "forced", "_log_lam")
 
     def __init__(self, graph: Graph, lam: Union[np.ndarray, Iterable[float]]):
         self.graph = graph
@@ -62,14 +74,10 @@ class HardcoreModel:
             )
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
             raise InputError("hardcore fields must be finite and nonnegative")
-        arr.flags.writeable = False
-        self.lam = arr
-        with np.errstate(divide="ignore"):
-            log_lam = np.log(arr)
-        self._log_lam = log_lam  # -inf where lam == 0
-        edges = graph.edges
-        self._eu = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        self._ev = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+        self.lam = _read_only(arr)
+        self.forced = _read_only(np.where(arr == 0, -1, 0).astype(np.int8))
+        # 0 at forced spins, whose +1 rows log_weight_batch sets to -inf
+        self._log_lam = np.log(np.where(arr == 0, 1.0, arr))
 
     @property
     def n(self) -> int:
@@ -77,7 +85,7 @@ class HardcoreModel:
 
     @property
     def is_soft(self) -> bool:
-        return bool(np.all(self.lam > 0))
+        return not self.forced.any()
 
     def log_weight_batch(self, configs: np.ndarray) -> np.ndarray:
         """Log weights for a (batch, n) array of +-1 configurations."""
@@ -86,11 +94,12 @@ class HardcoreModel:
                 f"batch has shape {configs.shape}, expected (*, {self.n})"
             )
         plus = configs > 0
-        out = plus @ np.where(np.isneginf(self._log_lam), 0.0, self._log_lam)
+        out = plus @ self._log_lam
         bad = np.zeros(len(configs), dtype=bool)
-        if len(self._eu):
-            bad |= np.any(plus[:, self._eu] & plus[:, self._ev], axis=1)
-        zero = self.lam == 0
+        g = self.graph
+        if g.m:
+            bad |= np.any(plus[:, g.eu] & plus[:, g.ev], axis=1)
+        zero = self.forced != 0
         if zero.any():
             bad |= np.any(plus[:, zero], axis=1)
         out[bad] = NEG_INF
@@ -101,10 +110,10 @@ class HardcoreModel:
 
 
 class IsingModel:
-    """Ising model (G, J, h); h entries may be +-inf (pinned vertices)."""
+    """Ising model (G, J, h); h entries may be +-inf (forced spins)."""
 
     kind = "ising"
-    __slots__ = ("graph", "h", "_j", "_eu", "_ev", "_jw", "csr_j")
+    __slots__ = ("graph", "h", "forced", "_jw", "csr_j")
 
     def __init__(
         self,
@@ -118,8 +127,8 @@ class IsingModel:
             raise DimensionMismatchError(f"h has shape {h.shape}, expected ({graph.n},)")
         if h.size and np.any(np.isnan(h)):
             raise InputError("Ising fields must not be NaN")
-        h.flags.writeable = False
-        self.h = h
+        self.h = _read_only(h)
+        self.forced = _read_only(np.where(np.isinf(h), np.sign(h), 0).astype(np.int8))
 
         jmap: dict[tuple[int, int], float] = {}
         for (u, v), val in couplings.items():
@@ -132,21 +141,11 @@ class IsingModel:
             if not math.isfinite(val):
                 raise InputError(f"coupling J[{key}] must be finite")
             jmap[key] = float(val)
-        self._j = {e: jmap.get(e, 0.0) for e in graph.edges}
-
-        edges = graph.edges
-        self._eu = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        self._ev = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        self._jw = np.array([self._j[e] for e in edges], dtype=np.float64)
-        # couplings aligned with graph.indices, for the chain kernels
-        csr_j = np.zeros(len(graph.indices), dtype=np.float64)
-        for v in range(graph.n):
-            lo, hi = graph.indptr[v], graph.indptr[v + 1]
-            for k in range(lo, hi):
-                u = int(graph.indices[k])
-                csr_j[k] = self._j[(min(u, v), max(u, v))]
-        csr_j.flags.writeable = False
-        self.csr_j = csr_j
+        # couplings aligned with graph.edges, and with graph.indices for the
+        # chain kernels
+        self._jw = _read_only(np.array([jmap.get(e, 0.0) for e in graph.edges],
+                                       dtype=np.float64))
+        self.csr_j = _read_only(self._jw[graph.csr_edge])
 
     @property
     def n(self) -> int:
@@ -154,11 +153,11 @@ class IsingModel:
 
     @property
     def is_soft(self) -> bool:
-        return bool(np.all(np.isfinite(self.h)))
+        return not self.forced.any()
 
     @property
     def couplings(self) -> dict[tuple[int, int], float]:
-        return dict(self._j)
+        return dict(zip(self.graph.edges, self._jw.tolist()))
 
     def log_weight_batch(self, configs: np.ndarray) -> np.ndarray:
         if configs.ndim != 2 or configs.shape[1] != self.n:
@@ -166,14 +165,14 @@ class IsingModel:
                 f"batch has shape {configs.shape}, expected (*, {self.n})"
             )
         spins = configs.astype(np.float64)
-        finite = np.isfinite(self.h)
+        finite = self.forced == 0
         out = spins[:, finite] @ self.h[finite]
-        if len(self._eu):
-            out += (spins[:, self._eu] * spins[:, self._ev]) @ self._jw
+        g = self.graph
+        if g.m:
+            out += (spins[:, g.eu] * spins[:, g.ev]) @ self._jw
         pinned = ~finite
         if pinned.any():
-            want = np.sign(self.h[pinned])
-            bad = np.any(spins[:, pinned] != want[None, :], axis=1)
+            bad = np.any(spins[:, pinned] != self.forced[pinned], axis=1)
             out[bad] = NEG_INF
         return out
 
@@ -249,10 +248,9 @@ def check_ising_condition(model: IsingModel) -> Optional[IsingCondition]:
         raise InputError("condition check applies to Ising models")
     if not model.is_soft:
         raise MustPreprocessError("condition check needs a soft Ising model")
-    n = model.n
+    n, g, jw = model.n, model.graph, model._jw
     jmat = np.zeros((n, n))
-    for (u, v), val in model._j.items():
-        jmat[u, v] = jmat[v, u] = val
+    jmat[g.eu, g.ev] = jmat[g.ev, g.eu] = jw
     if n:
         eig = np.linalg.eigvalsh(jmat)
         spread = float(eig[-1] - eig[0])
@@ -261,9 +259,9 @@ def check_ising_condition(model: IsingModel) -> Optional[IsingCondition]:
     gap = 1.0 - spread
     if gap > SPECTRAL_TOL:
         return IsingCondition("spectral", gap)
-    if all(val >= 0 for val in model._j.values()) and bool(np.all(model.h >= 0)):
+    if bool(np.all(jw >= 0)) and bool(np.all(model.h >= 0)):
         return IsingCondition("ferromagnetic-consistent", float(np.min(model.h)) if n else 0.0)
-    jvals = set(model._j.values())
+    jvals = set(jw.tolist())
     if len(jvals) <= 1:
         beta = jvals.pop() if jvals else 0.0
         delta = model.graph.max_degree()
@@ -296,71 +294,70 @@ def _neighborhood_partition(graph: Graph, lam: Sequence[float], v: int) -> float
 
 
 def effective_pins(model: SpinSystem, pin: Optional[Pinning]) -> np.ndarray:
-    """``pin`` as an int8 array (0 = free) with every infinite Ising field
-    folded in as a pin on its sign, once the pinning is checked feasible.
+    """``pin`` as an int8 array (0 = free) with the model's forced spins
+    folded in as pins, once the pinning is checked feasible.
 
     Raises:
         InfeasiblePinningError: no extension of ``pin`` has positive weight
-            for reasons visible locally (hardcore +1 on a zero field or on
-            adjacent vertices; Ising pin against an infinite field).
+            for reasons visible locally (a pin against a forced spin, or
+            hardcore +1 on adjacent vertices).
     """
     eff = pin_array(pin, model.n)
+    forced = model.forced
+    clash = np.flatnonzero(eff * forced == -1)
+    if len(clash):
+        v = clash[0]
+        raise InfeasiblePinningError(
+            f"vertex {v} pinned {eff[v]:+d} against its forced spin {forced[v]:+d}"
+        )
     if model.kind == "hardcore":
         plus = np.flatnonzero(eff == 1)
-        for v in plus:
-            if model.lam[v] == 0:
-                raise InfeasiblePinningError(f"vertex {v} pinned +1 but lambda is 0")
         if len(plus) and not model.graph.is_independent_set(plus):
             raise InfeasiblePinningError("pinned +1 set is not independent")
-        return eff
-    h = model.h
-    for v in np.flatnonzero(~np.isfinite(h)):
-        forced = 1 if h[v] > 0 else -1
-        if eff[v] not in (0, forced):
-            raise InfeasiblePinningError(f"vertex {v} pinned {eff[v]:+d} against infinite field")
-        eff[v] = forced
-    return eff
+    return np.where(forced != 0, forced, eff)
 
 
 def contract_pinning(
     model: SpinSystem, pin: Optional[Pinning]
 ) -> tuple[SpinSystem, list[int], float]:
-    """Fold a pinning into the model by self-reducibility.
+    """Fold a pinning and the forced spins into the model by
+    self-reducibility.
 
     Returns ``(reduced, kept, log_const)`` with
     ``log Z^pin(model) = log_const + log Z(reduced)`` and ``kept`` the original
-    labels of the reduced model's vertices.  Infinite Ising fields count as
-    pins; a contradiction between them and ``pin`` is infeasible.
+    labels of the reduced model's vertices; the reduced model is soft.  A
+    hardcore +1 pin also removes its neighbours, which it forces to -1.
+    With nothing pinned or forced, ``reduced`` is ``model`` itself.
 
     Raises:
         InfeasiblePinningError: as :func:`effective_pins`.
     """
     n = model.n
     eff = effective_pins(model, pin)
+    if not eff.any():
+        return model, list(range(n)), 0.0
+    g = model.graph
     if model.kind == "hardcore":
-        lam = model.lam
-        plus = [v for v in range(n) if eff[v] == 1]
-        forced_minus = set()
+        plus = np.flatnonzero(eff == 1)
+        drop = eff != 0
         for v in plus:
-            forced_minus.update(int(u) for u in model.graph.neighbors(v))
-        drop = set(plus) | forced_minus | {v for v in range(n) if eff[v] == -1}
-        kept = [v for v in range(n) if v not in drop]
-        sub, old_to_new = model.graph.induced_subgraph(kept)
-        log_const = float(np.sum(np.log(lam[plus]))) if plus else 0.0
-        return HardcoreModel(sub, lam[kept]), kept, log_const
+            drop[g.neighbors(v)] = True
+        kept = np.flatnonzero(~drop).tolist()
+        sub, _ = g.induced_subgraph(kept)
+        log_const = float(np.sum(np.log(model.lam[plus]))) if len(plus) else 0.0
+        return HardcoreModel(sub, model.lam[kept]), kept, log_const
 
-    # Ising: infinite fields behave as pins
     h = model.h
-    kept = [v for v in range(n) if eff[v] == 0]
-    sub, old_to_new = model.graph.induced_subgraph(kept)
-    new_h = np.array([h[v] for v in kept], dtype=np.float64)
+    kept = np.flatnonzero(eff == 0).tolist()
+    sub, old_to_new = g.induced_subgraph(kept)
+    new_h = h[kept]
     log_const = 0.0
-    for v in range(n):
-        if eff[v] != 0 and math.isfinite(h[v]):
-            log_const += h[v] * eff[v]
+    for v in np.flatnonzero((eff != 0) & (model.forced == 0)):
+        log_const += h[v] * eff[v]
     new_j: dict[tuple[int, int], float] = {}
-    for (u, v), val in model._j.items():
-        pu, pv = eff[u], eff[v]
+    spin = eff.tolist()
+    for u, v, val in zip(g.eu.tolist(), g.ev.tolist(), model._jw.tolist()):
+        pu, pv = spin[u], spin[v]
         if pu != 0 and pv != 0:
             log_const += val * pu * pv
         elif pu != 0:
@@ -372,52 +369,32 @@ def contract_pinning(
     return IsingModel(sub, new_j, new_h), kept, log_const
 
 
-def drop_zero_fields(model: HardcoreModel) -> tuple[HardcoreModel, list[int]]:
-    """The hardcore model on its nonzero-field vertices, and their labels.
-
-    Zero-field vertices are -1 in every configuration of positive weight, so
-    dropping them leaves the distribution on the rest and Z unchanged.  A
-    model with no zero field is returned as it is.
-    """
-    kept = [v for v in range(model.n) if model.lam[v] > 0]
-    if len(kept) == model.n:
-        return model, kept
-    sub, _ = model.graph.induced_subgraph(kept)
-    return HardcoreModel(sub, model.lam[kept]), kept
-
-
-def marginal_lower_bound(
-    model: SpinSystem, free_degree_cap: int = FREE_DEGREE_CAP
-) -> MarginalBound:
+def marginal_lower_bound(model: SpinSystem) -> MarginalBound:
     """Tight b such that every positive conditional marginal is >= b.
 
-    Hardcore: zero-field vertices are stripped first (they are fixed to -1 by
-    self-reducibility); then b = min(1/(1+max lambda), min_v m_v) where m_v is
-    the +1 marginal of v under the all-minus boundary outside N(v).  Ising:
-    infinite fields are contracted first; the extremal pinning assigns each
-    neighbor against the coupling sign.
+    Forced spins are contracted first.  Hardcore: b = min(1/(1+max lambda),
+    min_v m_v) where m_v is the +1 marginal of v under the all-minus boundary
+    outside N(v).  Ising: the extremal pinning assigns each neighbor against
+    the coupling sign.
     """
-    if model.kind == "hardcore":
-        work, _ = drop_zero_fields(model)
-        if work.n == 0:
-            return MarginalBound(1.0, 1.0)
+    work, _, _ = contract_pinning(model, None)
+    if work.n == 0:
+        return MarginalBound(1.0, 1.0)
+    if work.kind == "hardcore":
         lam = work.lam
         minus_bound = 1.0 / (1.0 + float(np.max(lam)))
         b = minus_bound
         lam_list = lam.tolist()  # float products, without numpy scalar overhead
         for v in range(work.n):
-            if work.graph.degree(v) > free_degree_cap:
+            if work.graph.degree(v) > FREE_DEGREE_CAP:
                 raise TooLargeError(
                     f"free degree {work.graph.degree(v)} exceeds enumeration cap "
-                    f"{free_degree_cap}"
+                    f"{FREE_DEGREE_CAP}"
                 )
             z_n = _neighborhood_partition(work.graph, lam_list, v)
             b = min(b, lam[v] / (lam[v] + z_n))
         return MarginalBound(b, minus_bound)
 
-    work, _, _ = contract_pinning(model, None)
-    if work.n == 0:
-        return MarginalBound(1.0, 1.0)
     b = worst_minus = 1.0
     for v in range(work.n):
         j_abs = float(np.sum(np.abs(work.csr_j[work.graph.indptr[v] : work.graph.indptr[v + 1]])))
@@ -436,7 +413,6 @@ class RegimeReport:
 
     kind: str
     uniqueness_gap: Optional[float]
-    ising_condition: Optional[IsingCondition]
     marginal_bound: float
 
 
@@ -444,33 +420,31 @@ def pair_regime(mu: SpinSystem, nu: SpinSystem) -> RegimeReport:
     """Regime quantities holding for *both* models (min of gaps and bounds)."""
     _check_pair(mu, nu)
     b = min(marginal_lower_bound(mu).b, marginal_lower_bound(nu).b)
+    gap = None
     if mu.kind == "hardcore":
         g1, g2 = check_uniqueness(mu), check_uniqueness(nu)
         gap = min(g1, g2) if (g1 is not None and g2 is not None) else None
-        return RegimeReport("hardcore", gap, None, b)
-    c1, c2 = check_ising_condition(mu), check_ising_condition(nu)
-    cond = c1 if (c1 is not None and c2 is not None) else None
-    return RegimeReport("ising", None, cond, b)
+    return RegimeReport(mu.kind, gap, b)
 
 
 UNIQUENESS_TV_CONSTANT = 1.0 / 5000.0
 
 
-def tv_lower_bound_constant(pair_kind: str, regime: RegimeReport) -> float:
+def tv_lower_bound_constant(regime: RegimeReport) -> float:
     """Largest applicable constant C with TV >= C * parameter distance."""
     candidates = []
-    if pair_kind == "hardcore":
+    if regime.kind == "hardcore":
         if regime.uniqueness_gap is not None:
             candidates.append(UNIQUENESS_TV_CONSTANT)
         if regime.marginal_bound > 0:
             candidates.append(regime.marginal_bound**3)
-    elif pair_kind == "ising":
+    elif regime.kind == "ising":
         if regime.marginal_bound > 0:
             candidates.append(regime.marginal_bound**2 / 2.0)
     else:
-        raise InputError(f"unknown pair kind {pair_kind!r}")
+        raise InputError(f"unknown pair kind {regime.kind!r}")
     if not candidates:
-        raise NoLowerBoundError(f"no TV lower bound case applies for {pair_kind}")
+        raise NoLowerBoundError(f"no TV lower bound case applies for {regime.kind}")
     return max(candidates)
 
 
@@ -494,41 +468,23 @@ class PreprocessOutcome:
 
 
 def preprocess(mu: SpinSystem, nu: SpinSystem) -> PreprocessOutcome:
-    """Eliminate hard constraints shared structure allows (paper's reductions).
+    """Eliminate the hard constraints of a pair (the paper's reductions).
 
-    Ising: opposite infinite fields force TV = 1; a one-sided infinite field
-    forces TV >= b; agreeing infinite fields are contracted into neighbor
-    fields on both sides.  Hardcore analogues with zero fields.
+    Opposite forced spins on one vertex give disjoint supports, TV = 1.  A
+    spin forced in one model only gives TV >= b, the smaller marginal lower
+    bound.  Otherwise both models have the same forced spins, and
+    contracting them leaves a soft pair with the same TV distance, or an
+    empty one, TV = 0.
     """
     _check_pair(mu, nu)
-    n = mu.n
-    if mu.kind == "hardcore":
-        zm = mu.lam == 0
-        zn = nu.lam == 0
-        if bool(np.any(zm != zn)):
-            b = min(marginal_lower_bound(mu).b, marginal_lower_bound(nu).b)
-            return PreprocessOutcome("big-gap", lower_bound=b)
-        if bool(np.all(zm)):
-            return PreprocessOutcome("resolved", tv=0.0)
-        mu2, kept = drop_zero_fields(mu)
-        if mu2 is not mu:
-            nu = HardcoreModel(mu2.graph, nu.lam[kept])
-        return PreprocessOutcome("soft-pair", mu=mu2, nu=nu, kept=kept)
-
-    hm, hn = mu.h, nu.h
-    inf_m, inf_n = ~np.isfinite(hm), ~np.isfinite(hn)
-    both = inf_m & inf_n
-    if bool(np.any(both & (np.sign(hm) != np.sign(hn)) & both)):
+    fm, fn = mu.forced, nu.forced
+    if bool(np.any(fm * fn == -1)):
         return PreprocessOutcome("resolved", tv=1.0)
-    if bool(np.any(inf_m != inf_n)):
-        b_m = marginal_lower_bound(mu).b
-        b_n = marginal_lower_bound(nu).b
-        return PreprocessOutcome("big-gap", lower_bound=min(b_m, b_n))
-    if not bool(np.any(inf_m)):
-        return PreprocessOutcome("soft-pair", mu=mu, nu=nu, kept=list(range(n)))
+    if bool(np.any(fm != fn)):
+        b = min(marginal_lower_bound(mu).b, marginal_lower_bound(nu).b)
+        return PreprocessOutcome("big-gap", lower_bound=b)
     red_mu, kept, _ = contract_pinning(mu, None)
-    red_nu, kept_n, _ = contract_pinning(nu, None)
-    assert kept == kept_n
+    red_nu, _, _ = contract_pinning(nu, None)
     if red_mu.n == 0:
         return PreprocessOutcome("resolved", tv=0.0)
     return PreprocessOutcome("soft-pair", mu=red_mu, nu=red_nu, kept=kept)

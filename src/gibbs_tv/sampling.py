@@ -16,9 +16,10 @@ within ``n_free / 2**64`` of uniform in total variation, and a uniform is
 The Glauber guarantee (a sample within TV distance ``delta`` of the target
 after ``T = C_mix * n * ln(n/delta)`` steps) holds in the uniqueness /
 spectral regimes covered by the regime checks; elsewhere sampling is best
-effort.  For ``n_free <= exact_fallback_cap`` the sampler switches to
-enumeration plus inverse-CDF lookup, which is exact and leaves no mixing
-error.
+effort.  A vertex is free unless a pin or the model fixes its spin: forced
+spins (``model.forced``) are pins, so no chain spends an update on them.
+For ``n_free <= exact_fallback_cap`` the sampler switches to enumeration
+plus inverse-CDF lookup, which is exact and leaves no mixing error.
 
 Each chain first tries to stop early by coupling from the past (Propp and
 Wilson 1996).  A bounding chain (hardcore: states {-1, +1, unknown}, Huber
@@ -167,8 +168,8 @@ class Sampler:
     ):
         self.cfg = cfg or SamplerConfig()
         self.model = model
-        # checks the pinning's feasibility; infinite Ising fields pin their
-        # vertices, so the chain only ever reads finite field entries
+        # checks the pinning's feasibility; forced spins are pins, so the
+        # chain never updates them and only ever reads finite field entries
         self.pins = effective_pins(model, pin)
         self.free = np.flatnonzero(self.pins == 0).astype(np.int64)
         self._exact = None

@@ -754,7 +754,13 @@ def test_a_seed_reproduces_its_result():
     marg = marginal_additive_tv(mu, nu, [0, 2], 0.5, budget, np.random.default_rng(11))
     log_z = approx_count(HardcoreModel(path_graph(6), np.full(6, 0.8)), 0.5, budget.counter,
                          np.random.default_rng(11), budget.sampler)
+    # an Ising pair sharing an infinite field, which the counts contract
+    ising_mu = IsingModel(g, {(0, 1): 0.3, (1, 2): -0.2}, [math.inf, 0.1, -0.2])
+    ising_nu = IsingModel(g, {(0, 1): 0.4, (1, 2): -0.2}, [math.inf, -0.1, 0.1])
+    ising = additive_tv(ising_mu, ising_nu, 0.5, budget, np.random.default_rng(11))
     assert (add.counter_calls, add.samples_used) == (2, 256)
+    assert (ising.counter_calls, ising.samples_used) == (2, 256)
+    assert ising.estimate == pytest.approx(0.17769005118390435, rel=1e-12, abs=0)
     assert (marg.counter_calls, marg.samples_used) == (74, 256)
     assert add.estimate == pytest.approx(0.1928275075996619, rel=1e-12, abs=0)
     assert marg.estimate == pytest.approx(0.18921358581720926, rel=1e-12, abs=0)

@@ -11,7 +11,7 @@ from gibbs_tv.errors import (
     InvalidPairError,
     TooLargeError,
 )
-from gibbs_tv.exact import exact_tv
+from gibbs_tv.exact import distribution, exact_partition, exact_tv
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import (
     HardcoreModel,
@@ -163,7 +163,7 @@ def test_marginal_lower_bound_cap():
     star = Graph(26, [(0, i) for i in range(1, 26)])
     model = HardcoreModel(star, np.ones(26))
     with pytest.raises(TooLargeError):
-        marginal_lower_bound(model, free_degree_cap=24)
+        marginal_lower_bound(model)
 
 
 def test_marginal_lower_bound_matches_brute_force(rng):
@@ -187,19 +187,19 @@ def test_marginal_lower_bound_matches_brute_force(rng):
 
 
 def test_tv_lower_bound_constant_cases():
-    r = RegimeReport("hardcore", uniqueness_gap=0.5, ising_condition=None, marginal_bound=1e-3)
-    assert tv_lower_bound_constant("hardcore", r) == pytest.approx(1 / 5000)
-    r = RegimeReport("hardcore", None, None, 1.0 / 3.0)
-    assert tv_lower_bound_constant("hardcore", r) == pytest.approx(1.0 / 27.0)
-    r = RegimeReport("ising", None, None, 0.5)
-    assert tv_lower_bound_constant("ising", r) == pytest.approx(1.0 / 8.0)
+    r = RegimeReport("hardcore", uniqueness_gap=0.5, marginal_bound=1e-3)
+    assert tv_lower_bound_constant(r) == pytest.approx(1 / 5000)
+    r = RegimeReport("hardcore", None, 1.0 / 3.0)
+    assert tv_lower_bound_constant(r) == pytest.approx(1.0 / 27.0)
+    r = RegimeReport("ising", None, 0.5)
+    assert tv_lower_bound_constant(r) == pytest.approx(1.0 / 8.0)
     # both hardcore cases apply: the larger constant wins
-    r = RegimeReport("hardcore", 0.5, None, 0.5)
-    assert tv_lower_bound_constant("hardcore", r) == pytest.approx(0.125)
+    r = RegimeReport("hardcore", 0.5, 0.5)
+    assert tv_lower_bound_constant(r) == pytest.approx(0.125)
 
 
 def test_tv_lower_bound_constant_holds_on_random_pairs():
-    """TV >= C d_par with C from tv_lower_bound_constant(kind, pair_regime),
+    """TV >= C d_par with C from tv_lower_bound_constant(pair_regime),
     the constant the dispatcher uses, on the three pair classes in turn:
     hardcore in uniqueness, hardcore with bounded fields, and Ising."""
     rng = np.random.default_rng(2)
@@ -212,7 +212,7 @@ def test_tv_lower_bound_constant_holds_on_random_pairs():
             mu, nu = random_hardcore_pair(crng, style="bounded")
         else:
             mu, nu = random_ising_pair(crng)
-        c = tv_lower_bound_constant(mu.kind, pair_regime(mu, nu))
+        c = tv_lower_bound_constant(pair_regime(mu, nu))
         assert exact_tv(mu, nu) + 1e-12 >= c * parameter_distance(mu, nu), i
 
 
@@ -225,6 +225,42 @@ def test_contract_pinning_hardcore():
         contract_pinning(HardcoreModel(Graph(2, [(0, 1)]), [1, 1]), {0: 1, 1: 1})
     with pytest.raises(InfeasiblePinningError):
         contract_pinning(HardcoreModel(Graph(1), [0.0]), {0: 1})
+
+
+def test_contraction_removes_pins_and_forced_spins():
+    """On both kinds, with some spins forced (lambda 0, h +-inf) and a random
+    pinning: log Z^pin = log_const + log Z(reduced), the reduced model is
+    soft and keeps no pinned or forced vertex, and a pinning the contraction
+    refuses has no extension of positive weight.  With nothing pinned or
+    forced, the model comes back as it is."""
+    rng = np.random.default_rng(24)
+    feasible = 0
+    for i in range(120):
+        n = int(rng.integers(1, 9))
+        g = random_graph(n, 0.4, rng)
+        hit = rng.random(n) < 0.3
+        if i % 2:
+            m = HardcoreModel(g, np.where(hit, 0.0, rng.uniform(0.1, 2.0, n)))
+        else:
+            h = np.where(hit, rng.choice([-math.inf, math.inf], n), rng.uniform(-1, 1, n))
+            m = IsingModel(g, {e: float(rng.uniform(-0.8, 0.8)) for e in g.edges}, h)
+        if not hit.any():
+            same, kept, log_const = contract_pinning(m, None)
+            assert same is m and kept == list(range(n)) and log_const == 0.0
+        pinned = np.flatnonzero(rng.random(n) < 0.3)
+        pin = {int(v): int(rng.choice([-1, 1])) for v in pinned}
+        try:
+            reduced, kept, log_const = contract_pinning(m, pin)
+        except InfeasiblePinningError:
+            assert distribution(m, pin).log_z == -math.inf
+            continue
+        feasible += 1
+        assert reduced.is_soft
+        assert not set(kept) & (set(pin) | set(np.flatnonzero(hit).tolist()))
+        assert distribution(m, pin).log_z == pytest.approx(
+            log_const + exact_partition(reduced), abs=1e-10
+        )
+    assert feasible >= 60
 
 
 def test_preprocess_ising_cases():

@@ -131,6 +131,20 @@ def test_infinite_field_pins_vertex(rng):
     assert np.all(batch[:, 0] == 1)
 
 
+def test_zero_field_pins_vertex(rng):
+    """A hardcore zero field pins its vertex at -1: the chains never update
+    it, and the other marginals match exact enumeration."""
+    model = HardcoreModel(path_graph(4), [1.0, 0.0, 2.0, 0.5])
+    s = Sampler(model)
+    assert s.free.tolist() == [0, 2, 3] and s.pins.tolist() == [0, -1, 0, 0]
+    assert not s.is_exact
+    batch = s.sample_batch(4000, 0.05, rng)
+    assert np.all(batch[:, 1] == -1)
+    dist = distribution(model)
+    exact_plus = np.exp(dist.log_probs) @ (dist.configs > 0)
+    assert np.abs((batch > 0).mean(axis=0) - exact_plus).max() < 0.04
+
+
 def conditional_plus_probability(model, sigma, v):
     """Heat-bath probability that ``v`` flips to +1 given the rest of ``sigma``:
     the closed form the chain kernels are checked against."""
@@ -713,8 +727,8 @@ def test_compiled_chunk_entry_validates_arrays(compiled_chain):
 
 def test_sampler_checks_pins_without_contracting(monkeypatch):
     """A Sampler checks its pinning without building the contracted model,
-    folds infinite Ising fields in as pins, and refuses an infeasible
-    pinning with contract_pinning's error."""
+    folds forced spins in as pins, and refuses an infeasible pinning with
+    contract_pinning's error."""
     def no_contraction(*args, **kwargs):
         pytest.fail("the Sampler contracted its pinning")
 
@@ -725,7 +739,7 @@ def test_sampler_checks_pins_without_contracting(monkeypatch):
         m.setattr(models_mod, "contract_pinning", no_contraction)
         m.setattr(sampling_mod, "contract_pinning", no_contraction, raising=False)
         assert Sampler(ising, {1: 1}).pins.tolist() == [1, 1, -1, 0]
-        assert Sampler(hardcore, {1: 1, 2: -1}).pins.tolist() == [0, 1, -1, 0]
+        assert Sampler(hardcore, {1: 1, 2: -1}).pins.tolist() == [-1, 1, -1, 0]
     for model, pin in ((hardcore, {0: 1}), (hardcore, {1: 1, 2: 1}), (ising, {0: -1}),
                        (ising, {2: 1})):
         with pytest.raises(InfeasiblePinningError) as contracted:
