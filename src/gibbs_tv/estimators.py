@@ -1,15 +1,18 @@
 """TV-distance estimators over the sampling/counting oracles, plus dispatch.
 
-Four estimators:
+Four estimators.  The paper writes TV(mu, nu) as the mean under mu of
+``max(0, 1 - W/r)`` with ``W = w_nu/w_mu`` and ``r = Z_nu/Z_mu``; the first
+three compute that one statistic (:func:`_ratio_mean`) and differ only in
+where W and r come from:
 
-* :func:`additive_tv` -- mean of ``max(0, 1 - nu_hat/mu_hat)`` over oracle
-  samples; additive error.
-* :func:`marginal_additive_tv` -- same idea on a vertex subset, with
-  conditional counting calls boosted to high success probability.
-* :func:`basic_relative_tv` -- rewrites TV as ``E|E[W]-W| / (2 E[W])`` for
-  the weight-ratio variable ``W = w_nu/w_mu`` under mu, whose mean is
-  ``Z_nu/Z_mu``, and exploits its concentration when the parameter distance
-  is small; it counts no partition function.
+* :func:`additive_tv` -- W per draw of mu, r from counts of Z_mu and Z_nu;
+  additive error.
+* :func:`marginal_additive_tv` -- W per sampled pattern on a vertex subset,
+  from pinned counts and weighted by the pattern's draws, r from counts;
+  every count is boosted to high success probability.
+* :func:`basic_relative_tv` -- W per draw of mu and r the draws' own mean of
+  W, which concentrates when the parameter distance is small; it counts no
+  partition function.
 * :func:`advanced_relative_tv` -- hardcore-only estimator that conditions on
   the vertices with non-tiny fields and enumerates truncated conditional
   distributions on the rest, so pairs whose fields are far below one sample's
@@ -255,19 +258,23 @@ def _draw_count(
     return check_budget(formula, f"{what} (set T_override to run at desk scale)")
 
 
-def _ratio_hat(
-    mu: SpinSystem, nu: SpinSystem, configs: np.ndarray, log_shift: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """exp(log w_nu - log w_mu + log_shift) per row, 0 where w_mu or w_nu
-    is 0, and the mask of rows where w_mu is positive."""
-    lwm = mu.log_weight_batch(configs)
-    lwn = nu.log_weight_batch(configs)
-    out = np.zeros(len(configs))
+def _ratio_mean(lwm: np.ndarray, lwn: np.ndarray, weights: Optional[np.ndarray] = None,
+                log_r: Optional[float] = None) -> float:
+    """Weighted mean of ``max(0, 1 - W/r)`` over rows with log w_mu ``lwm``
+    and log w_nu ``lwn``, where ``W = w_nu/w_mu`` and ``r = exp(log_r)``, or
+    without ``log_r`` the rows' weighted mean of W.  Rows with w_mu = 0
+    contribute 0."""
     ok = lwm > NEG_INF
     live = ok & (lwn > NEG_INF)
-    with np.errstate(over="ignore"):  # inf ratios clamp downstream maxima to 0
-        out[live] = np.exp(lwn[live] - lwm[live] + log_shift)
-    return out, ok
+    ratio = np.zeros(len(lwm))
+    with np.errstate(over="ignore"):  # inf ratios clamp their terms to 0
+        if log_r is None:
+            ratio[live] = np.exp(lwn[live] - lwm[live])
+            ratio[live] /= np.average(ratio, weights=weights)
+        else:
+            ratio[live] = np.exp(lwn[live] - lwm[live] - log_r)
+    terms = np.where(ok, np.maximum(0.0, 1.0 - ratio), 0.0)
+    return float(np.average(terms, weights=weights))
 
 
 def additive_tv(
@@ -300,9 +307,9 @@ def additive_tv(
     log_zm = rt.count(mu, epsilon / 4)
     log_zn = rt.count(nu, epsilon / 4)
     xs = rt.sample_batch(mu, tcount, epsilon / 4)
-    ratio, ok = _ratio_hat(mu, nu, xs, log_zm - log_zn)
-    x_hat = np.where(ok, np.maximum(0.0, 1.0 - ratio), 0.0)
-    report = EstimateReport(float(np.mean(x_hat)), "additive", "additive", epsilon)
+    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs),
+                           log_r=log_zn - log_zm)
+    report = EstimateReport(estimate, "additive", "additive", epsilon)
     return rt.finish(report)
 
 
@@ -348,22 +355,15 @@ def marginal_additive_tv(
     log_zn = rt.count(nu, epsilon / 8, delta=delta_cc)
     xs = rt.sample_batch(mu, tcount, epsilon / 8)
     patterns, _, counts = exact._row_patterns(xs, sub)
-    total = 0.0
-    for row, cnt in zip(patterns, counts):
+    lwm = np.full(len(patterns), NEG_INF)
+    lwn = np.full(len(patterns), NEG_INF)
+    for i, row in enumerate(patterns):
         pin = {v: int(c) for v, c in zip(sub, row)}
-        lzm_s = rt.count(mu, epsilon / 8, pin, delta_cc)
-        if lzm_s == NEG_INF:
-            continue  # mu_hat restricted to this pattern is 0
-        lzn_s = rt.count(nu, epsilon / 8, pin, delta_cc)
-        if lzn_s == NEG_INF:
-            y_hat = 1.0
-        else:
-            expo = lzn_s - lzm_s + log_zm - log_zn
-            y_hat = 0.0 if expo >= 0 else max(0.0, 1.0 - math.exp(expo))
-        total += cnt * y_hat
-    report = EstimateReport(
-        float(total) / tcount, "additive", "marginal-additive", epsilon
-    )
+        lwm[i] = rt.count(mu, epsilon / 8, pin, delta_cc)
+        if lwm[i] > NEG_INF:  # else mu_hat restricted to this pattern is 0
+            lwn[i] = rt.count(nu, epsilon / 8, pin, delta_cc)
+    estimate = _ratio_mean(lwm, lwn, counts, log_zn - log_zm)
+    report = EstimateReport(estimate, "additive", "marginal-additive", epsilon)
     return rt.finish(report)
 
 
@@ -419,8 +419,9 @@ def basic_relative_tv(
     With ``W = w_nu(X)/w_mu(X)`` for ``X ~ mu``, ``E[W] = Z_nu/Z_mu``
     exactly, so the paper's ``TV = (Z_mu / 2 Z_nu) E|E[W] - W|`` is
     ``E|E[W] - W| / (2 E[W])``.  Both parts come from the same draws
-    ``W_1..W_T``: ``w_bar = mean W_i`` and ``e_bar = mean |W_i - w_bar|``.
-    No partition function is counted.
+    ``W_1..W_T``: ``w_bar = mean W_i`` and ``e_bar = mean |W_i - w_bar|``,
+    and as the ``W_i - w_bar`` sum to 0, ``e_bar / (2 w_bar)`` is the mean
+    of ``max(0, 1 - W_i/w_bar)``.  No partition function is counted.
 
     ``w_bar`` is an eps/4-relative estimate of ``Z_nu/Z_mu`` by the
     meta-condition alone.  Its (K, L) give ``sd(W) <= K TV`` and
@@ -449,10 +450,7 @@ def basic_relative_tv(
         "basic estimator",
     )
     xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))
-    w_hat, _ = _ratio_hat(mu, nu, xs, 0.0)
-    w_bar = float(np.mean(w_hat))
-    e_bar = float(np.mean(np.abs(w_hat - w_bar)))
-    estimate = e_bar / (2.0 * w_bar)
+    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs))
     report = EstimateReport(
         estimate, "relative", "basic", epsilon,
         d_par=params.d_par, theta=params.theta, c_tv_par=params.c_tv_par,

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .models import HardcoreModel, IsingModel, SpinSystem
 FORMAT_VERSION = 1
 
 
-def _fail(field: str, msg: str) -> None:
+def _fail(field: str, msg: str) -> NoReturn:
     raise InstanceFormatError(f"{field}: {msg}")
 
 
@@ -40,7 +40,21 @@ def _parse_field_value(field: str, value) -> float:
         _fail(field, f"unknown token {value!r} (use a number, 'inf' or '-inf')")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _fail(field, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        _fail(field, "integer too large for a double")
+    if not math.isfinite(out):
+        _fail(field, f"numeric value {value!r} is not finite "
+                     "(infinite fields are the strings 'inf' and '-inf')")
+    return out
+
+
+def _check_label(field: str, label, index: Mapping[str, int]) -> None:
+    if not isinstance(label, str):
+        _fail(field, f"vertex labels are strings, got {label!r}")
+    if label not in index:
+        _fail(field, f"unknown vertex reference {label!r}")
 
 
 def parse_instance(doc) -> SpinSystem:
@@ -50,7 +64,7 @@ def parse_instance(doc) -> SpinSystem:
     if isinstance(doc, str):
         try:
             data = json.loads(doc)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # past the digit or depth limits too
             raise InstanceFormatError(f"invalid JSON: {e}") from e
     else:
         data = doc
@@ -77,8 +91,7 @@ def parse_instance(doc) -> SpinSystem:
         if not (isinstance(e, list) and len(e) == 2):
             _fail(f"edges[{i}]", "must be a pair of labels")
         for lbl in e:
-            if lbl not in index:
-                _fail(f"edges[{i}]", f"unknown vertex reference {lbl!r}")
+            _check_label(f"edges[{i}]", lbl, index)
         if e[0] == e[1]:
             _fail(f"edges[{i}]", "self-loop")
         edges.append((index[e[0]], index[e[1]]))
@@ -112,8 +125,7 @@ def parse_instance(doc) -> SpinSystem:
             _fail(f"J[{i}]", "must be a [u, v, value] triple")
         a, b, value = triple
         for lbl in (a, b):
-            if lbl not in index:
-                _fail(f"J[{i}]", f"unknown vertex reference {lbl!r}")
+            _check_label(f"J[{i}]", lbl, index)
         val = _parse_field_value(f"J[{i}]", value)
         if not math.isfinite(val):
             _fail(f"J[{i}]", "coupling must be finite")
@@ -140,9 +152,10 @@ def parse_instance(doc) -> SpinSystem:
 def load_instance(path: str) -> SpinSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-    except OSError as e:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise InstanceFormatError(f"cannot read {path}: {e}") from e
+    return parse_instance(text)
 
 
 def _field_token(value: float) -> Union[float, str]:

@@ -130,11 +130,12 @@ class IsingModel:
         self.h = _read_only(h)
         self.forced = _read_only(np.where(np.isinf(h), np.sign(h), 0).astype(np.int8))
 
+        edges = set(graph.edges)
         jmap: dict[tuple[int, int], float] = {}
         for (u, v), val in couplings.items():
             u, v = int(u), int(v)
             key = (u, v) if u < v else (v, u)
-            if not graph.has_edge(*key):
+            if key not in edges:
                 raise InputError(f"coupling on non-edge ({u},{v})")
             if key in jmap and jmap[key] != float(val):
                 raise InputError(f"conflicting coupling values for edge {key}")

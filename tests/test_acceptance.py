@@ -12,6 +12,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from gibbs_tv import exact
 from gibbs_tv.counting import CounterConfig, approx_count
@@ -141,6 +142,7 @@ def test_criterion_4_truncation_exactness():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_additive_coverage():
     """|d_hat - TV| <= 0.05 in >= 85/100 runs per fixed pair; same for the
     marginal estimator on a random subset per pair."""
@@ -171,6 +173,7 @@ def test_criterion_5_additive_coverage():
              f"(worst full {worst_full}/100, worst marginal {worst_marg}/100)")
 
 
+@pytest.mark.slow
 def test_criterion_6_basic_relative_coverage():
     """Relative error <= 0.25 in >= 85/100 runs on 10 small-distance pairs."""
     eps = 0.25
@@ -193,6 +196,7 @@ def test_criterion_6_basic_relative_coverage():
              f"PASS (worst {worst}/100)")
 
 
+@pytest.mark.slow
 def test_criterion_7_advanced_coverage():
     """Relative error <= 0.25 in >= 85/100 runs on 10 hardcore pairs with the
     desk-scale kappa/theta overrides, two pairs entirely below kappa."""
@@ -226,6 +230,7 @@ def test_criterion_7_advanced_coverage():
              f"{all_small} all-small): PASS (worst {worst}/100)")
 
 
+@pytest.mark.slow
 def test_criterion_8_counting_contract():
     """approx_count at eps=0.05 within (1 +/- 0.05) Z in >= 97/100 runs, and
     the telescoping identity with exact expectations matches to 1e-10."""
@@ -262,6 +267,7 @@ def test_criterion_8_counting_contract():
              f"{'exact' if tele_ok else 'BROKEN'}): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_9_reduction_demo():
     """TV-query counting reproduces exact independent-set counts on every
     connected graph with n <= 7 and max degree <= 3."""

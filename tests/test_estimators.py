@@ -13,8 +13,10 @@ from gibbs_tv.counting import CounterConfig, approx_count, count_plan
 from gibbs_tv.errors import GateError, InfeasiblePinningError, InputError, TooLargeError
 from gibbs_tv.estimators import (
     EstimatorBudget,
+    MetaConditionParams,
     _f_hat_from,
     _field_ratio,
+    _ratio_mean,
     _Runtime,
     _tilde_ratio,
     additive_tv,
@@ -98,6 +100,40 @@ def test_additive_ising_four_cycle(exact_budget, rng):
         est = additive_tv(mu, nu, 0.05, exact_budget, child).estimate
         hits += abs(est - truth) <= 0.05
     assert hits >= 20
+
+
+def test_ratio_mean_matches_the_formulas_it_replaced():
+    """The one statistic ``mean max(0, 1 - W/r)``: with a log r it is the
+    additive estimator's former expression, rows with w_mu = 0 giving 0;
+    without one it is the basic estimator's ``e_bar / (2 w_bar)``, on draws
+    of mu, which never have w_mu = 0."""
+    gen = np.random.default_rng(5)
+    for _ in range(50):
+        lwm, lwn = gen.normal(0.0, 3.0, (2, 300))
+        lwn[gen.random(300) < 0.1] = -np.inf
+        dead = gen.random(300) < 0.1
+        log_zm, log_zn = gen.normal(0.0, 2.0, 2)
+
+        ok = ~dead
+        live = ok & (lwn > -np.inf)
+        ratio = np.zeros(300)
+        ratio[live] = np.exp(lwn[live] - lwm[live] + (log_zm - log_zn))
+        additive = float(np.mean(np.where(ok, np.maximum(0.0, 1.0 - ratio), 0.0)))
+        got = _ratio_mean(np.where(dead, -np.inf, lwm), lwn, log_r=log_zn - log_zm)
+        assert got == pytest.approx(additive, rel=1e-12, abs=0)
+
+        w_hat = np.exp(lwn - lwm)  # 0 where w_nu is 0
+        w_bar = float(np.mean(w_hat))
+        e_bar = float(np.mean(np.abs(w_hat - w_bar)))
+        got = _ratio_mean(lwm, lwn)
+        assert got == pytest.approx(e_bar / (2.0 * w_bar), rel=1e-12, abs=0)
+    # nu forbids every draw: TV 1, where e_bar / (2 w_bar) divided 0 by 0
+    assert _ratio_mean(np.zeros(3), np.full(3, -np.inf)) == 1.0
+    # weighted rows are repeated rows
+    counts = gen.integers(1, 5, 300)
+    assert _ratio_mean(lwm, lwn, counts, 0.3) == pytest.approx(
+        _ratio_mean(np.repeat(lwm, counts), np.repeat(lwn, counts), log_r=0.3),
+        rel=1e-12, abs=0)
 
 
 def test_marginal_additive(exact_budget, rng):
@@ -765,3 +801,7 @@ def test_a_seed_reproduces_its_result():
     assert add.estimate == pytest.approx(0.1928275075996619, rel=1e-12, abs=0)
     assert marg.estimate == pytest.approx(0.18921358581720926, rel=1e-12, abs=0)
     assert log_z == pytest.approx(1.7645133346233388, rel=1e-12, abs=0)
+    basic = basic_relative_tv(mu, nu, 0.5, MetaConditionParams(1.0, 2.0, True),
+                              replace(budget, T_override=256), np.random.default_rng(11))
+    assert (basic.counter_calls, basic.samples_used) == (0, 256)
+    assert basic.estimate == pytest.approx(0.17629103470256283, rel=1e-12, abs=0)

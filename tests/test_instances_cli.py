@@ -136,6 +136,29 @@ def test_cli_reproducible_runs(tmp_path, capsys):
     assert a == b
 
 
+def test_cli_builds_one_parser(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser on the first call and reuses it, and one
+    call's flags do not leak into the next; ``build_parser`` still returns
+    a new parser."""
+    from gibbs_tv import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    pa, pb, *_ = _write_pair(tmp_path)
+    try:
+        assert main(["tv", pa, pb, "--mode", "exact", "--t-override", "5", "--json"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["tv", pa, pb, "--json"]) == 0
+        second = json.loads(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert (first["config"]["mode"], first["config"]["T_override"]) == ("exact", 5)
+    assert (second["config"]["mode"], second["config"]["T_override"]) == ("auto", None)
+    assert build_parser() is not build_parser()
+
+
 def test_cli_marginal_tv(tmp_path, capsys):
     pa, pb, mu, nu = _write_pair(tmp_path)
     rc = main([
@@ -219,6 +242,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["tv", pa, str(bad)]) == 2
     capsys.readouterr()
+
+    # malformed documents: unhashable labels, numbers past a double, numeric
+    # infinities (infinite fields are the strings "inf"/"-inf"), integers
+    # past Python's digit limit, nesting past the recursion limit, non-UTF-8
+    doc = ('{"format": 1, "model": "ising", "vertices": ["a", "b"], '
+           '"edges": [%s], "J": [%s], "h": {"a": %s, "b": 0}}')
+    for text in (doc % ('[["a"], "b"]', '["a", "b", 0.5]', "0"),
+                 doc % ('["a", "b"]', '[{"a": 1}, "b", 0.5]', "0"),
+                 doc % ('["a", "b"]', '["a", "b", 0.5]', "1" * 330),
+                 doc % ('["a", "b"]', '["a", "b", 0.5]', "1e400"),
+                 doc % ('["a", "b"]', '["a", "b", 0.5]', "Infinity"),
+                 doc % ('["a", "b"]', '["a", "b", 0.5]', "-Infinity"),
+                 doc % ('["a", "b"]', '["a", "b", 0.5]', "1" * 5000),
+                 "[" * 100000 + "]" * 100000):
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2, text[:80]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unexpected" not in err, err
+    bad.write_bytes(b'{"format": 1, "vertices": ["\xff"]}')
+    assert main(["check", str(bad)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
     # gate failure: advanced mode on a pair with too-large parameter distance
     assert main(["tv", pa, pb, "--mode", "advanced", "--exact-cap", "0"]) == 3

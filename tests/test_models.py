@@ -345,5 +345,7 @@ def test_hardcore_rejects_bad_fields():
         HardcoreModel(Graph(1), [math.inf])
     with pytest.raises(InputError):
         IsingModel(Graph(2, [(0, 1)]), {(0, 1): math.nan}, [0.0, 0.0])
-    with pytest.raises(InputError):
-        IsingModel(Graph(2), {(0, 1): 0.5}, [0.0, 0.0])  # coupling on non-edge
+    with pytest.raises(InputError, match="coupling on non-edge"):
+        IsingModel(Graph(2), {(0, 1): 0.5}, [0.0, 0.0])
+    with pytest.raises(InputError, match="conflicting coupling values for edge"):
+        IsingModel(Graph(2, [(0, 1)]), {(0, 1): 0.5, (1, 0): 0.6}, [0.0, 0.0])
