@@ -177,9 +177,13 @@ class _Runtime:
             self._samplers[model] = Sampler(model, None, self.budget.sampler)
         return self._samplers[model]
 
-    def sample_batch(self, model: SpinSystem, count: int, delta: float) -> np.ndarray:
+    def sample_rows(
+        self, model: SpinSystem, count: int, delta: float
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``count`` draws of ``model`` as rows and multiplicities (None: one
+        draw per row), as :meth:`Sampler.sample_rows` returns them."""
         self.samples_used += count
-        return self.sampler(model).sample_batch(count, delta, self.rng, self.budget.threads)
+        return self.sampler(model).sample_rows(count, delta, self.rng, self.budget.threads)
 
     def count_steps(
         self, model: SpinSystem, eps: float, delta: Optional[float] = None
@@ -306,8 +310,8 @@ def additive_tv(
     )
     log_zm = rt.count(mu, epsilon / 4)
     log_zn = rt.count(nu, epsilon / 4)
-    xs = rt.sample_batch(mu, tcount, epsilon / 4)
-    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs),
+    xs, mult = rt.sample_rows(mu, tcount, epsilon / 4)
+    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs), mult,
                            log_r=log_zn - log_zm)
     report = EstimateReport(estimate, "additive", "additive", epsilon)
     return rt.finish(report)
@@ -353,8 +357,8 @@ def marginal_additive_tv(
     )
     log_zm = rt.count(mu, epsilon / 8, delta=delta_cc)
     log_zn = rt.count(nu, epsilon / 8, delta=delta_cc)
-    xs = rt.sample_batch(mu, tcount, epsilon / 8)
-    patterns, _, counts = exact._row_patterns(xs, sub)
+    xs, mult = rt.sample_rows(mu, tcount, epsilon / 8)
+    patterns, _, counts = exact._row_patterns(xs, sub, mult)
     lwm = np.full(len(patterns), NEG_INF)
     lwn = np.full(len(patterns), NEG_INF)
     for i, row in enumerate(patterns):
@@ -449,8 +453,8 @@ def basic_relative_tv(
         lambda: 1e4 * params.L**2 * params.K**2 / epsilon**2,
         "basic estimator",
     )
-    xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))
-    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs))
+    xs, mult = rt.sample_rows(mu, tcount, 1.0 / (100.0 * tcount))
+    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs), mult)
     report = EstimateReport(
         estimate, "relative", "basic", epsilon,
         d_par=params.d_par, theta=params.theta, c_tv_par=params.c_tv_par,
@@ -565,8 +569,12 @@ def _f_hat_from(
     return 0.5 * float(math.fsum(terms.tolist()))
 
 
-def _project_unique(xs: np.ndarray, cols: tuple[int, ...]):
-    patterns, _, counts = exact._row_patterns(xs, cols)
+def _project_unique(
+    xs: np.ndarray, cols: tuple[int, ...], weights: Optional[np.ndarray] = None
+):
+    """Big-side +1 sets of the rows ``xs`` with their draw counts (rows
+    weighted by ``weights``, see :func:`exact._row_patterns`)."""
+    patterns, _, counts = exact._row_patterns(xs, cols, weights)
     plus_sets = [
         tuple(cols[i] for i in np.flatnonzero(row > 0)) for row in patterns
     ]
@@ -604,14 +612,14 @@ def _tilde_ratio(
 ) -> float:
     """Z_nu/Z_mu estimated from ``tprime`` draws of mu projected on ``big``;
     ``trunc`` maps a big-side +1 set to its truncated conditional."""
-    xs = rt.sample_batch(mu, tprime, 1.0 / (1000.0 * tprime))
-    plus_sets, counts = _project_unique(xs, big)
+    xs, mult = rt.sample_rows(mu, tprime, 1.0 / (1000.0 * tprime))
+    plus_sets, counts = _project_unique(xs, big, mult)
     total = 0.0
     for plus, cnt in zip(plus_sets, counts):
         tc = trunc(plus)
         q = _field_ratio(mu, nu, plus) * tc.z_nu / tc.z_mu
         total += cnt * q
-    return total / len(xs)
+    return total / tprime
 
 
 def advanced_relative_tv(
@@ -646,8 +654,8 @@ def advanced_relative_tv(
     )
     trunc = functools.cache(lambda plus: truncated_conditional(mu, nu, part, plus, t))
     r_tilde = _tilde_ratio(mu, nu, part.big, trunc, rt, tcount)
-    xs = rt.sample_batch(mu, tcount, 1.0 / (100.0 * tcount))
-    plus_sets, counts = _project_unique(xs, part.big)
+    xs, mult = rt.sample_rows(mu, tcount, 1.0 / (100.0 * tcount))
+    plus_sets, counts = _project_unique(xs, part.big, mult)
     total = 0.0
     for plus, cnt in zip(plus_sets, counts):
         tc = trunc(plus)

@@ -4,7 +4,8 @@ Everything here is deterministic and works in log space; linear-space sums
 (TV distances, probability masses) use compensated summation via
 ``math.fsum``.  Hardcore supports are enumerated over independent sets
 (:meth:`Graph.independent_sets`) rather than all 2^n configurations, which
-raises the practical cap.
+raises the practical cap.  An enumeration of more than ``MAX_DRAWS`` rows
+is refused with TooLargeError before its rows are allocated.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .models import (
     _check_pair,
     pin_array,
 )
+from .sampling import MAX_DRAWS, check_budget
 
 EXACT_CAP = 20
 
@@ -54,6 +56,10 @@ def _independent_configs(graph: Graph, allow_plus: np.ndarray, pins: np.ndarray)
     sizes: list[int] = []
     cols: list[int] = []
     for s in graph.independent_sets(np.flatnonzero(eligible)):
+        if len(sizes) == MAX_DRAWS:
+            raise TooLargeError(
+                f"exact enumeration needs more than {MAX_DRAWS:.3g} rows, the limit"
+            )
         sizes.append(len(s))
         cols.extend(s)
     configs = np.tile(np.where(pins == 1, 1, -1).astype(np.int8), (len(sizes), 1))
@@ -64,6 +70,7 @@ def _independent_configs(graph: Graph, allow_plus: np.ndarray, pins: np.ndarray)
 def _all_configs(n: int, pins: np.ndarray) -> np.ndarray:
     free = [v for v in range(n) if pins[v] == 0]
     k = len(free)
+    check_budget(lambda: 2.0**k, "exact enumeration", MAX_DRAWS, "rows")
     configs = np.tile(pins, (1 << k, 1)).astype(np.int8)
     if k:
         bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
@@ -147,7 +154,7 @@ def exact_tv(mu: SpinSystem, nu: SpinSystem, cap: int = EXACT_CAP) -> float:
 
 
 def _row_patterns(
-    xs: np.ndarray, cols: Sequence[int]
+    xs: np.ndarray, cols: Sequence[int], weights: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of the +-1 matrix ``xs[:, cols]``, with inverse and counts.
 
@@ -155,7 +162,9 @@ def _row_patterns(
     inverse and counts: each row is packed into bits (first column most
     significant) and compared as one void field, which sorts like the rows
     themselves at a fraction of the cost.  A leading 1 bit keeps zero-width
-    rows from packing to zero bytes.
+    rows from packing to zero bytes.  With ``weights`` (row ``i`` standing
+    for ``weights[i]`` rows) a pattern's count is the sum of its rows'
+    weights, as floats.
     """
     k = len(cols)
     bits = np.ones((len(xs), k + 1), dtype=bool)
@@ -163,6 +172,8 @@ def _row_patterns(
     packed = np.packbits(bits, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    if weights is not None:
+        counts = np.bincount(inverse, weights=weights, minlength=len(uniq))
     rows = np.unpackbits(
         uniq.view(np.uint8).reshape(len(uniq), packed.shape[1]), axis=1, count=k + 1
     )

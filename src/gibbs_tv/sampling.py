@@ -19,7 +19,11 @@ spectral regimes covered by the regime checks; elsewhere sampling is best
 effort.  A vertex is free unless a pin or the model fixes its spin: forced
 spins (``model.forced``) are pins, so no chain spends an update on them.
 For ``n_free <= exact_fallback_cap`` the sampler switches to enumeration
-plus inverse-CDF lookup, which is exact and leaves no mixing error.
+plus inverse-CDF lookup, which is exact and leaves no mixing error.  The
+estimators read such a batch as its distinct support rows with their
+multiplicities (:meth:`Sampler.sample_rows`): the same draws from the same
+uniforms, counted by searching the support's CDF in the sorted uniforms,
+so a batch of T costs one sort of T doubles rather than T rows of n spins.
 
 Each chain first tries to stop early by coupling from the past (Propp and
 Wilson 1996).  A bounding chain (hardcore: states {-1, +1, unknown}, Huber
@@ -174,11 +178,15 @@ class Sampler:
         self.free = np.flatnonzero(self.pins == 0).astype(np.int64)
         self._exact = None
         if self.cfg.enumerates(len(self.free)):
-            from . import exact  # deferred: exact imports models only
+            from . import exact  # deferred: exact imports this module
 
             dist = exact.distribution(model, pin, cap=max(model.n, 1))
             probs = np.exp(dist.log_probs)
-            self._exact = (dist.configs, probs / probs.sum())
+            # the CDF Generator.choice builds from probs / probs.sum(), so
+            # inverting it takes exactly the draws choice would
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            self._exact = (dist.configs, cdf)
         if model.kind == "hardcore":
             self._p_plus = model.lam / (1.0 + model.lam)
             self._weights = (self._p_plus,)
@@ -200,18 +208,13 @@ class Sampler:
         ``count`` chains at :func:`worst_chain_steps` each."""
         return count * worst_chain_steps(self.steps_for(delta))
 
-    def sample_batch(
-        self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
-    ) -> np.ndarray:
-        """``count`` independent samples as a (count, n) int8 array.
+    def _check_batch(self, count: int, delta: float, threads: int) -> int:
+        """Chain length of a batch of ``count`` at ``delta``, after checking
+        the request.
 
-        One 128-bit key drawn from ``rng`` keys the batch's Philox stream,
-        in which each chain reads its own counters, so the result depends
-        only on ``rng`` and ``count`` -- not on ``threads`` or the chunking.
-        Chains run ``_CHUNK`` to a kernel call, each call on a worker thread
-        when ``threads > 1``.  A batch whose chains could take more than
-        ``MAX_CHAIN_STEPS`` steps in all (:meth:`batch_steps`) is refused
-        before any of them runs, and so is one of more than ``MAX_DRAWS``
+        Invalid arguments raise InputError.  A batch whose chains could take
+        more than ``MAX_CHAIN_STEPS`` steps in all (:meth:`batch_steps`) is
+        refused with TooLargeError, and so is one of more than ``MAX_DRAWS``
         enumerated samples.
         """
         if threads < 1:
@@ -221,14 +224,51 @@ class Sampler:
         steps = self.steps_for(delta)  # validates delta on every path
         check_budget(lambda: self.batch_steps(count, delta), "the sample batch",
                      MAX_CHAIN_STEPS, "chain steps")
+        if self._exact is not None:
+            check_budget(lambda: count, "the sample batch")
+        return steps
+
+    def sample_rows(
+        self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """``count`` independent samples as ``(rows, mult)``: sample row
+        ``rows[i]`` drawn ``mult[i]`` times.
+
+        On chains this is ``(sample_batch(...), None)``, every draw its own
+        row.  On enumeration ``rows`` are the support rows drawn at least
+        once, in support order, and ``mult`` their positive counts: the
+        counts of ``sample_batch``'s draws, taken from the same ``count``
+        uniforms of ``rng``, which ends in the same state.
+        """
+        if self._exact is None:
+            return self.sample_batch(count, delta, rng, threads), None
+        self._check_batch(count, delta, threads)
+        configs, cdf = self._exact
+        u = np.sort(rng.random(count))
+        mult = np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
+        drawn = mult > 0
+        return configs[drawn], mult[drawn]
+
+    def sample_batch(
+        self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
+    ) -> np.ndarray:
+        """``count`` independent samples as a (count, n) int8 array.
+
+        One 128-bit key drawn from ``rng`` keys the batch's Philox stream,
+        in which each chain reads its own counters, so the result depends
+        only on ``rng`` and ``count`` -- not on ``threads`` or the chunking.
+        Chains run ``_CHUNK`` to a kernel call, each call on a worker thread
+        when ``threads > 1``.  Every request is checked by
+        :meth:`_check_batch` before any of the chains runs.  Enumerated
+        samples are the draws of ``rng.choice`` over the support.
+        """
+        steps = self._check_batch(count, delta, threads)
         n = self.model.n
         if count == 0:
             return np.empty((0, n), dtype=np.int8)
         if self._exact is not None:
-            check_budget(lambda: count, "the sample batch")
-            configs, probs = self._exact
-            idx = rng.choice(len(probs), size=count, p=probs)
-            return configs[idx]
+            configs, cdf = self._exact
+            return configs[np.searchsorted(cdf, rng.random(count), "right")]
         key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
         w0, budget = early_exit(len(self.free), steps)
         g = self.model.graph

@@ -805,3 +805,87 @@ def test_a_seed_reproduces_its_result():
                               replace(budget, T_override=256), np.random.default_rng(11))
     assert (basic.counter_calls, basic.samples_used) == (0, 256)
     assert basic.estimate == pytest.approx(0.17629103470256283, rel=1e-12, abs=0)
+
+
+def _enumerated_pairs():
+    """A 7-vertex hardcore pair, an Ising pair on the same graph, and a
+    hardcore pair for the advanced estimator (three fields below
+    ADVANCED_KAPPA, parameter distance 3e-5 < ADVANCED_THETA)."""
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (1, 4)])
+    hardcore = (HardcoreModel(g, [0.5, 0.8, 0.3, 0.6, 0.9, 0.4, 0.7]),
+                HardcoreModel(g, [0.6, 0.7, 0.3, 0.5, 1.0, 0.4, 0.6]))
+    couplings = {e: 0.1 * (k % 5) - 0.2 for k, e in enumerate(g.edges)}
+    couplings2 = {**couplings, (1, 4): couplings[(1, 4)] + 0.3}
+    ising = (IsingModel(g, couplings, [0.3, -0.2, 0.1, 0.0, -0.4, 0.2, 0.5]),
+             IsingModel(g, couplings2, [0.3, -0.1, 0.1, 0.0, -0.4, 0.2, 0.4]))
+    advanced = (HardcoreModel(g, [0.2, 0.003, 0.3, 0.001, 0.25, 0.004, 0.15]),
+                HardcoreModel(g, [0.20003, 0.003, 0.29998, 0.00101, 0.25, 0.00399, 0.15002]))
+    return hardcore, ising, advanced
+
+
+def test_a_seed_reproduces_its_enumerated_result(exact_budget):
+    """As above, with the sampler and the counter enumerating (caps 20), so
+    that the estimators read each batch as support rows with multiplicities.
+    Branches and draw and count totals are fixed; marginal and advanced
+    estimates are fixed exactly, additive and basic ones to 1e-12, as a sum
+    over rows rounds differently from a sum over draws."""
+    hardcore, ising, advanced = _enumerated_pairs()
+    budget = exact_budget
+    basic_budget = replace(budget, T_override=30000)
+    gated = replace(budget, exact_cap=0, T_override=30000, median_repeats=3)
+    params = MetaConditionParams(1.0, 2.0, True)
+    want = {  # (branch, samples_used, counter_calls, estimate)
+        ("hardcore", "additive"): ("additive", 6400, 2, 0.0738122847159681),
+        ("hardcore", "marginal"): ("marginal-additive", 6400, 18, 0.05153532024893478),
+        ("hardcore", "basic"): ("basic", 30000, 0, 0.07323377829090032),
+        ("hardcore", "dispatch"): ("additive-gated", 90000, 6, 0.07420483284242388),
+        ("ising", "additive"): ("additive", 6400, 2, 0.11525573230974447),
+        ("ising", "marginal"): ("marginal-additive", 6400, 18, 0.005166835691872006),
+        ("ising", "basic"): ("basic", 30000, 0, 0.11711848245271282),
+        ("ising", "dispatch"): ("additive-gated", 90000, 6, 0.11711419019980507),
+        ("advanced", "advanced"): ("advanced", 48310, 0, 3.3604395661389535e-05),
+        ("advanced", "dispatch"): ("advanced", 48310, 0, 3.3604395661389535e-05),
+    }
+    got = {}
+    for name, (mu, nu) in (("hardcore", hardcore), ("ising", ising)):
+        got[name, "additive"] = additive_tv(mu, nu, 0.1, budget, np.random.default_rng(11))
+        got[name, "marginal"] = marginal_additive_tv(mu, nu, [0, 2, 5], 0.1, budget,
+                                                     np.random.default_rng(11))
+        got[name, "basic"] = basic_relative_tv(mu, nu, 0.25, params, basic_budget,
+                                               np.random.default_rng(11))
+        got[name, "dispatch"] = dispatch_tv(mu, nu, 0.25, gated, np.random.default_rng(11))
+    adv = adv_budget(t=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got["advanced", "advanced"] = advanced_relative_tv(*advanced, 0.25, adv,
+                                                           np.random.default_rng(11))
+        got["advanced", "dispatch"] = dispatch_tv(*advanced, 0.25, replace(adv, exact_cap=0),
+                                                  np.random.default_rng(11))
+    for key, (branch, samples, calls, estimate) in want.items():
+        rep = got[key]
+        assert (rep.branch, rep.samples_used, rep.counter_calls) == (branch, samples, calls), key
+        if rep.branch in ("marginal-additive", "advanced"):
+            assert rep.estimate == estimate, key
+        else:
+            assert rep.estimate == pytest.approx(estimate, rel=1e-12, abs=0), key
+
+
+def test_enumerated_estimators_build_no_draw_matrix(exact_budget, monkeypatch):
+    """With the sampler and the counter enumerating, no estimator builds the
+    T-row draw matrix of Sampler.sample_batch."""
+    monkeypatch.setattr(sampling_mod.Sampler, "sample_batch",
+                        lambda *a, **k: pytest.fail("a T-row draw matrix was built"))
+    hardcore, ising, advanced = _enumerated_pairs()
+    budget = exact_budget
+    params = MetaConditionParams(1.0, 2.0, True)
+    for mu, nu in (hardcore, ising):
+        assert additive_tv(mu, nu, 0.1, budget, np.random.default_rng(1)).samples_used == 6400
+        assert marginal_additive_tv(mu, nu, [1, 3], 0.1, budget,
+                                    np.random.default_rng(1)).samples_used == 6400
+        rep = basic_relative_tv(mu, nu, 0.25, params, replace(budget, T_override=30000),
+                                np.random.default_rng(1))
+        assert rep.samples_used == 30000
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = advanced_relative_tv(*advanced, 0.25, adv_budget(t=4), np.random.default_rng(1))
+    assert rep.samples_used == 48310

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gibbs_tv import exact as exact_mod
+from gibbs_tv.counting import CounterConfig, approx_count
 from gibbs_tv.errors import InputError, TooLargeError
 from gibbs_tv.exact import (
     count_via_tv_queries,
@@ -21,6 +23,7 @@ from gibbs_tv.exact import (
 from gibbs_tv.estimators import _project_unique
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
 from gibbs_tv.models import HardcoreModel, IsingModel
+from gibbs_tv.sampling import Sampler, SamplerConfig
 
 
 def test_exact_partition_examples():
@@ -34,6 +37,41 @@ def test_exact_partition_examples():
 def test_exact_partition_cap():
     with pytest.raises(TooLargeError):
         exact_partition(HardcoreModel(Graph(25), np.ones(25)), cap=20)
+
+
+def test_enumeration_past_max_draws_is_refused(monkeypatch):
+    """An Ising enumeration of more than MAX_DRAWS rows (2^26 and 2^64 here)
+    is refused by every enumerating oracle before its rows are allocated;
+    a hardcore one once its independent sets pass the limit."""
+    for n in (26, 64):
+        g = path_graph(n)
+        mu = IsingModel(g, {e: 0.1 for e in g.edges}, np.zeros(n))
+        nu = IsingModel(g, {e: 0.2 for e in g.edges}, np.zeros(n))
+        for run in (lambda: support_configs(mu, cap=n),
+                    lambda: distribution(mu, cap=n),
+                    lambda: exact_tv(mu, nu, cap=n),
+                    lambda: exact_marginal_tv(mu, nu, [0, 1], cap=n),
+                    lambda: Sampler(mu, cfg=SamplerConfig(exact_fallback_cap=n)),
+                    lambda: approx_count(mu, 0.1, CounterConfig(exact_fallback_cap=n),
+                                         np.random.default_rng(0))):
+            with pytest.raises(TooLargeError, match="exact enumeration needs"):
+                run()
+    # at a limit of 32 rows, 5 free Ising vertices pass and 6 are refused
+    monkeypatch.setattr(exact_mod, "MAX_DRAWS", 32)
+    g = path_graph(6)
+    ising = IsingModel(g, {e: 0.1 for e in g.edges}, np.zeros(6))
+    assert len(support_configs(ising, {0: 1})) == 32
+    with pytest.raises(TooLargeError, match="exact enumeration needs"):
+        support_configs(ising)
+    # the 8-path has 55 independent sets, the 7-path 34, the 6-path 21
+    assert len(support_configs(HardcoreModel(g, np.ones(6)))) == 21
+    with pytest.raises(TooLargeError, match="more than 32 rows"):
+        support_configs(HardcoreModel(path_graph(7), np.ones(7)))
+    monkeypatch.setattr(exact_mod, "MAX_DRAWS", 34)
+    assert len(support_configs(HardcoreModel(path_graph(7), np.ones(7)))) == 34
+    with pytest.raises(TooLargeError, match="more than 34 rows"):
+        exact_tv(HardcoreModel(path_graph(8), np.ones(8)),
+                 HardcoreModel(path_graph(8), np.full(8, 2.0)))
 
 
 def test_conditional_partition():
@@ -126,6 +164,20 @@ def test_row_patterns_match_np_unique(rng):
         assert g.shape == w.shape and np.array_equal(g, w)
     plus_sets, counts = _project_unique(xs, ())
     assert plus_sets == [()] and list(counts) == [7]
+
+
+def test_row_patterns_weighted_counts(rng):
+    """With row weights, each pattern's count is the count it has among the
+    rows repeated that many times; patterns and their order are unchanged."""
+    pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, 9))
+    weights = rng.integers(1, 6, size=len(pool))
+    cols = [7, 0, 3, 4]
+    patterns, inverse, counts = _row_patterns(pool, cols, weights)
+    want = _row_patterns(np.repeat(pool, weights, axis=0), cols)
+    assert np.array_equal(patterns, want[0]) and np.array_equal(counts, want[2])
+    assert np.array_equal(patterns[inverse], pool[:, cols])
+    plus_sets, counts = _project_unique(pool, (2, 5), weights)
+    assert sum(counts) == weights.sum() and len(plus_sets) == len(set(plus_sets))
 
 
 def test_exact_marginal_tv_monotone(rng):

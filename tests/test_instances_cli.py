@@ -310,6 +310,37 @@ def test_cli_refuses_numbers_past_a_double(tmp_path, capsys, monkeypatch):
         assert len(err.splitlines()) == 1 and "unexpected" not in err, (argv, err)
 
 
+def test_cli_refuses_enumerations_past_max_draws(tmp_path, capsys, monkeypatch):
+    """Each enumeration cap at or above n asks for 2^n rows on an Ising
+    model: at n 26 and 64 that is above MAX_DRAWS, and each command exits 4
+    with one line on stderr, before any row is allocated or a chain runs."""
+    monkeypatch.setattr(sampling_mod._kernel, "sample_chunk",
+                        lambda *a: pytest.fail("a chain ran"))
+    paths = {}
+    for n in (26, 64):
+        g = path_graph(n)
+        for side, coupling in (("mu", 0.1), ("nu", 0.2)):
+            path = tmp_path / f"{side}{n}.json"
+            path.write_text(emit_instance(IsingModel(g, {e: coupling for e in g.edges},
+                                                     np.zeros(n))))
+            paths[side, n] = str(path)
+    for n in (26, 64):
+        cap = str(n)
+        pa, pb = paths["mu", n], paths["nu", n]
+        for argv in (["sample", pa, "--exact-sampler-cap", cap],
+                     ["count", pa, "--exact-counter-cap", cap],
+                     ["tv", pa, pb, "--mode", "exact", "--exact-cap", cap],
+                     ["tv", pa, pb, "--mode", "additive", "--t-override", "100",
+                      "--exact-sampler-cap", cap, "--exact-counter-cap", cap],
+                     ["marginal-tv", pa, pb, "--subset", "0", "--exact-sampler-cap", cap,
+                      "--exact-counter-cap", cap, "--t-override", "100"]):
+            t0 = time.perf_counter()
+            assert main(argv) == 4, argv
+            assert time.perf_counter() - t0 < 1.0, argv
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "exact enumeration needs" in err, (argv, err)
+
+
 def test_package_needs_only_numpy():
     """Every gibbs_tv module imports with networkx, hypothesis and pytest
     blocked, and the CLI offers exactly the pipeline's six subcommands."""

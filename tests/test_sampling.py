@@ -452,6 +452,70 @@ def test_exact_fallback_matches_distribution(rng):
     assert 0.5 * np.abs(counts - truth).sum() < 0.01
 
 
+def _small_model(kind, pinned):
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
+    if kind == "hardcore":
+        model = HardcoreModel(g, [0.5, 1.2, 0.3, 0.8, 2.0, 0.6])
+        return model, ({2: 1} if pinned else None)
+    model = IsingModel(g, {e: 0.2 * (k % 3) - 0.3 for k, e in enumerate(g.edges)},
+                       [0.4, -0.2, 0.0, 0.7, -0.5, 0.1])
+    return model, ({0: -1, 3: 1} if pinned else None)
+
+
+@pytest.mark.parametrize("kind", ["hardcore", "ising"])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_sample_rows_count_the_draws_of_choice(kind, pinned):
+    """An enumerated batch read as rows and multiplicities holds the draws
+    that ``rng.choice`` over the support takes from a generator in the same
+    state, and leaves the generator in the same state; ``sample_batch``
+    returns those draws in order."""
+    model, pin = _small_model(kind, pinned)
+    sampler = Sampler(model, pin, SamplerConfig(exact_fallback_cap=20))
+    dist = distribution(model, pin)
+    probs = np.exp(dist.log_probs)
+    probs /= probs.sum()
+    support = {row.tobytes(): i for i, row in enumerate(dist.configs)}
+    for count in (0, 1, 25_600):
+        rng, rng2, rng3 = (np.random.default_rng(count + 3) for _ in range(3))
+        rows, mult = sampler.sample_rows(count, 0.1, rng)
+        idx = rng2.choice(len(probs), size=count, p=probs)
+        assert rows.dtype == np.int8 and rows.shape == (len(mult), model.n)
+        assert np.all(mult > 0) and len(support) == len(probs)
+        laid = np.zeros(len(probs), dtype=np.int64)
+        laid[[support[row.tobytes()] for row in rows]] = mult
+        assert np.array_equal(laid, np.bincount(idx, minlength=len(probs)))
+        assert np.array_equal(sampler.sample_batch(count, 0.1, rng3), dist.configs[idx])
+        assert rng.random() == rng2.random() == rng3.random()
+
+
+@pytest.mark.parametrize("kind", ["hardcore", "ising"])
+def test_sample_rows_on_chains_is_sample_batch(kind):
+    """On chains every draw is its own row: ``(sample_batch(...), None)``."""
+    model, pin = _small_model(kind, True)
+    sampler = Sampler(model, pin)
+    assert not sampler.is_exact
+    rows, mult = sampler.sample_rows(100, 0.1, np.random.default_rng(4))
+    assert mult is None
+    assert np.array_equal(rows, sampler.sample_batch(100, 0.1, np.random.default_rng(4)))
+
+
+def test_sample_rows_checks_like_sample_batch():
+    """Both batch methods refuse the same requests, enumerated or not."""
+    model, pin = _small_model("hardcore", False)
+    for cfg in (SamplerConfig(exact_fallback_cap=20), SamplerConfig()):
+        sampler = Sampler(model, pin, cfg)
+        for method in (sampler.sample_rows, sampler.sample_batch):
+            rng = np.random.default_rng(0)
+            with pytest.raises(InputError, match="threads"):
+                method(10, 0.1, rng, threads=0)
+            with pytest.raises(InputError, match="nonnegative"):
+                method(-1, 0.1, rng)
+            with pytest.raises(InputError, match="delta"):
+                method(10, 1.5, rng)
+            with pytest.raises(TooLargeError):
+                method(10**12, 0.1, rng)
+
+
 def test_active_kernel_reports_something():
     assert active_kernel() in ("compiled", "python")
 
