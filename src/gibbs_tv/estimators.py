@@ -29,6 +29,12 @@ constants.  Draw counts keep their analytic polynomial shape unless
 ``T_override`` replaces them.  Every estimator takes its accuracy
 ``epsilon`` and its random generator ``rng`` as arguments; without an
 ``rng`` it draws fresh entropy.
+
+When the oracles enumerate, an estimator call enumerates each model at
+most once (:class:`_Runtime`): its counts, the sampled model's weights on
+the drawn rows and the drawn patterns are all read from that one support,
+and the advanced estimator lists the small side's independent sets once and
+reads every big-side pattern's truncated conditional from that list.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from .models import (
     contract_pinning,
     pair_regime,
     parameter_distance,
+    pin_array,
     preprocess,
     tv_lower_bound_constant,
 )
@@ -160,9 +167,25 @@ class TruncatedConditional:
     z_nu: float
 
 
+class _Draws(NamedTuple):
+    """A batch of draws of ``model``: sample row ``rows[i]`` drawn
+    ``mult[i]`` times (``mult`` None: once each, on chains).  On
+    enumeration ``idx[i]`` is that row's index in the model's support."""
+
+    model: SpinSystem
+    rows: np.ndarray
+    mult: Optional[np.ndarray]
+    idx: Optional[np.ndarray]
+
+
 class _Runtime:
-    """Per-call bundle of budget, rng, cached samplers, usage counters, and
-    the start time."""
+    """Per-call bundle of budget, rng, cached samplers and supports, usage
+    counters, and the start time.
+
+    Each model is enumerated at most once per call: :meth:`support` takes
+    the sampler's support when the sampler enumerates, and counts, row
+    weights and patterns of enumerated draws all read that one support.
+    """
 
     def __init__(self, budget: EstimatorBudget, rng: Optional[np.random.Generator]):
         self.t0 = time.perf_counter()
@@ -171,24 +194,75 @@ class _Runtime:
         self.samples_used = 0
         self.counter_calls = 0
         self._samplers: dict[SpinSystem, Sampler] = {}
+        self._supports: dict[SpinSystem, exact.ExactDistribution] = {}
+        self._pattern_ids: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def sampler(self, model: SpinSystem) -> Sampler:
         if model not in self._samplers:
             self._samplers[model] = Sampler(model, None, self.budget.sampler)
         return self._samplers[model]
 
-    def sample_rows(
-        self, model: SpinSystem, count: int, delta: float
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """``count`` draws of ``model`` as rows and multiplicities (None: one
-        draw per row), as :meth:`Sampler.sample_rows` returns them."""
+    def support(self, model: SpinSystem) -> exact.ExactDistribution:
+        """``model``'s enumerated distribution: its sampler's when that
+        enumerates, else one :func:`exact.distribution` per call."""
+        if model not in self._supports:
+            support = self.sampler(model).support
+            if support is None:
+                support = exact.distribution(model, None, cap=max(model.n, 1))
+            self._supports[model] = support
+        return self._supports[model]
+
+    def sample_rows(self, model: SpinSystem, count: int, delta: float) -> _Draws:
+        """``count`` draws of ``model``; an enumerating sampler returns the
+        support rows it drew (:meth:`Sampler.sample_indices`)."""
         self.samples_used += count
-        return self.sampler(model).sample_rows(count, delta, self.rng, self.budget.threads)
+        sampler, threads = self.sampler(model), self.budget.threads
+        if sampler.support is None:
+            return _Draws(model, sampler.sample_batch(count, delta, self.rng, threads), None, None)
+        idx, mult = sampler.sample_indices(count, delta, self.rng, threads)
+        return _Draws(model, sampler.support.configs[idx], mult, idx)
+
+    def log_weights(self, model: SpinSystem, draws: _Draws) -> np.ndarray:
+        """log w of ``model`` on the drawn rows, gathered from the support
+        when they are enumerated draws of ``model``."""
+        if draws.idx is not None and draws.model is model:
+            return self.support(model).log_weights[draws.idx]
+        return model.log_weight_batch(draws.rows)
+
+    def patterns(self, draws: _Draws, cols: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct patterns of the drawn rows on ``cols``, with their draw
+        counts, in the order of :func:`exact._row_patterns`.
+
+        Enumerated draws read pattern ids computed once per support and
+        ``cols``, and count them with one ``bincount``; only patterns drawn
+        at least once are kept.
+        """
+        if draws.idx is None:
+            patterns, _, counts = exact._row_patterns(draws.rows, cols, draws.mult)
+            return patterns, counts
+        key = (draws.model, tuple(cols))
+        if key not in self._pattern_ids:
+            patterns, ids, _ = exact._row_patterns(self.support(draws.model).configs, cols)
+            self._pattern_ids[key] = patterns, ids
+        patterns, ids = self._pattern_ids[key]
+        counts = np.bincount(ids[draws.idx], weights=draws.mult, minlength=len(patterns))
+        drawn = counts > 0
+        return patterns[drawn], counts[drawn]
+
+    def _counter_enumerates(self, model: SpinSystem, eps: float) -> bool:
+        """Whether the counter enumerates ``model`` (``0 < n <= cap``): its
+        counts then read :meth:`support` and cost no chain step.  ``eps`` is
+        checked as :func:`count_plan` checks it."""
+        if not 0 < eps < 1:
+            raise InputError(f"epsilon must be in (0,1), got {eps}")
+        return 0 < model.n <= self.budget.counter.exact_fallback_cap
 
     def count_steps(
         self, model: SpinSystem, eps: float, delta: Optional[float] = None
     ) -> int:
         """Worst-case chain steps of ``count(model, eps, None, delta)``."""
+        if self._counter_enumerates(model, eps):
+            return 0
         reduced, _, _ = contract_pinning(model, None)
         return count_plan(reduced, eps, self.budget.counter, self.budget.sampler,
                           delta).chain_steps
@@ -206,6 +280,8 @@ class _Runtime:
         has at least as many vertices, edges and annealing levels as any
         pattern's, so at least as many chains, each at least as long.
         """
+        if self._counter_enumerates(model, eps):
+            return 0
         sub = set(subset)
         base = {v: int(model.forced[v]) or -1 for v in sub}
         bound, kept, _ = contract_pinning(model, base)
@@ -230,8 +306,22 @@ class _Runtime:
 
         The pinning (and any forced spin) is contracted here, and
         each of the count's repeats (:class:`CountPlan`) is one counter
-        call.  Infeasible pinnings give -inf.
+        call.  Infeasible pinnings give -inf.  When the counter enumerates
+        ``model``, the count is one call that contracts nothing: the
+        log-sum-exp of the support's log weights over the rows that match
+        ``pin``.
         """
+        if self._counter_enumerates(model, eps):
+            self.counter_calls += 1
+            support = self.support(model)
+            if not pin:
+                return support.log_z
+            pins = pin_array(pin, model.n)
+            cols = np.flatnonzero(pins)
+            match = np.all(support.configs[:, cols] == pins[cols], axis=1)
+            if not match.any():
+                return NEG_INF
+            return float(np.logaddexp.reduce(support.log_weights[match]))
         try:
             reduced, _, log_const = contract_pinning(model, pin)
         except InfeasiblePinningError:
@@ -310,8 +400,8 @@ def additive_tv(
     )
     log_zm = rt.count(mu, epsilon / 4)
     log_zn = rt.count(nu, epsilon / 4)
-    xs, mult = rt.sample_rows(mu, tcount, epsilon / 4)
-    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs), mult,
+    draws = rt.sample_rows(mu, tcount, epsilon / 4)
+    estimate = _ratio_mean(rt.log_weights(mu, draws), rt.log_weights(nu, draws), draws.mult,
                            log_r=log_zn - log_zm)
     report = EstimateReport(estimate, "additive", "additive", epsilon)
     return rt.finish(report)
@@ -357,8 +447,7 @@ def marginal_additive_tv(
     )
     log_zm = rt.count(mu, epsilon / 8, delta=delta_cc)
     log_zn = rt.count(nu, epsilon / 8, delta=delta_cc)
-    xs, mult = rt.sample_rows(mu, tcount, epsilon / 8)
-    patterns, _, counts = exact._row_patterns(xs, sub, mult)
+    patterns, counts = rt.patterns(rt.sample_rows(mu, tcount, epsilon / 8), sub)
     lwm = np.full(len(patterns), NEG_INF)
     lwn = np.full(len(patterns), NEG_INF)
     for i, row in enumerate(patterns):
@@ -453,8 +542,8 @@ def basic_relative_tv(
         lambda: 1e4 * params.L**2 * params.K**2 / epsilon**2,
         "basic estimator",
     )
-    xs, mult = rt.sample_rows(mu, tcount, 1.0 / (100.0 * tcount))
-    estimate = _ratio_mean(mu.log_weight_batch(xs), nu.log_weight_batch(xs), mult)
+    draws = rt.sample_rows(mu, tcount, 1.0 / (100.0 * tcount))
+    estimate = _ratio_mean(rt.log_weights(mu, draws), rt.log_weights(nu, draws), draws.mult)
     report = EstimateReport(
         estimate, "relative", "basic", epsilon,
         d_par=params.d_par, theta=params.theta, c_tv_par=params.c_tv_par,
@@ -515,6 +604,55 @@ def partition_big_small(
     return BigSmallPartition(big, small, kappa)
 
 
+class _SmallSets(NamedTuple):
+    """The small side's independent sets of size at most ``t``, in
+    :meth:`Graph.independent_sets` order, with their vertex indicators
+    (one row of ``n`` per set) and plain-space weights on both sides."""
+
+    t: int
+    sets: tuple[tuple[int, ...], ...]
+    members: np.ndarray
+    w_mu: np.ndarray
+    w_nu: np.ndarray
+
+
+def _small_sets(
+    mu: SpinSystem, nu: SpinSystem, part: BigSmallPartition, t: int
+) -> _SmallSets:
+    t_eff = min(t, len(part.small))
+    sets = tuple(mu.graph.independent_sets(part.small, t_eff))
+    members = np.zeros((len(sets), mu.n), dtype=bool)
+    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    members[rows, np.array([v for s in sets for v in s], dtype=np.intp)] = True
+    w_mu = np.array([float(np.prod(mu.lam[list(s)])) for s in sets])
+    w_nu = np.array([float(np.prod(nu.lam[list(s)])) for s in sets])
+    return _SmallSets(t_eff, sets, members, w_mu, w_nu)
+
+
+def _conditional(
+    mu: SpinSystem, part: BigSmallPartition, table: _SmallSets, plus: Iterable[int]
+) -> TruncatedConditional:
+    """:func:`truncated_conditional` read from the small side's sets
+    ``table``: the sets with no vertex next to ``plus``.  They are the
+    independent sets of ``s_x`` in their own order, and ``math.fsum`` does
+    not depend on order, so the result is the same as enumerating ``s_x``."""
+    plus_set = set(int(v) for v in plus)
+    if not plus_set <= set(part.big):
+        raise InputError("the +1 set must be a subset of the big vertices")
+    if not mu.graph.is_independent_set(plus_set):
+        raise InfeasiblePinningError("big-side +1 set is not independent")
+    s_x, blocked = [], []
+    for v in part.small:
+        adjacent = any(int(u) in plus_set for u in mu.graph.neighbors(v))
+        (blocked if adjacent else s_x).append(v)
+    keep = np.flatnonzero(~table.members[:, blocked].any(axis=1))
+    w_mu, w_nu = table.w_mu[keep], table.w_nu[keep]
+    return TruncatedConditional(
+        tuple(sorted(plus_set)), table.t, tuple(s_x), tuple(table.sets[i] for i in keep),
+        w_mu, w_nu, float(math.fsum(w_mu.tolist())), float(math.fsum(w_nu.tolist())),
+    )
+
+
 def truncated_conditional(
     mu: SpinSystem,
     nu: SpinSystem,
@@ -530,24 +668,7 @@ def truncated_conditional(
         InfeasiblePinningError: ``plus`` is not independent.
     """
     _check_pair(mu, nu)
-    plus_set = set(int(v) for v in plus)
-    if not plus_set <= set(part.big):
-        raise InputError("the +1 set must be a subset of the big vertices")
-    if not mu.graph.is_independent_set(plus_set):
-        raise InfeasiblePinningError("big-side +1 set is not independent")
-    t_eff = min(t, len(part.small))
-    s_x = [
-        v
-        for v in part.small
-        if not any(int(u) in plus_set for u in mu.graph.neighbors(v))
-    ]
-    sets = tuple(mu.graph.independent_sets(s_x, t_eff))
-    w_mu = np.array([float(np.prod(mu.lam[list(s)])) for s in sets])
-    w_nu = np.array([float(np.prod(nu.lam[list(s)])) for s in sets])
-    return TruncatedConditional(
-        tuple(sorted(plus_set)), t_eff, tuple(s_x), sets, w_mu, w_nu,
-        float(math.fsum(w_mu.tolist())), float(math.fsum(w_nu.tolist())),
-    )
+    return _conditional(mu, part, _small_sets(mu, nu, part, t), plus)
 
 
 def _field_ratio(mu: SpinSystem, nu: SpinSystem, plus: tuple[int, ...]) -> float:
@@ -569,16 +690,18 @@ def _f_hat_from(
     return 0.5 * float(math.fsum(terms.tolist()))
 
 
+def _plus_sets(patterns: np.ndarray, cols: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The +1 vertices of each +-1 pattern on ``cols``."""
+    return [tuple(cols[i] for i in np.flatnonzero(row > 0)) for row in patterns]
+
+
 def _project_unique(
     xs: np.ndarray, cols: tuple[int, ...], weights: Optional[np.ndarray] = None
 ):
     """Big-side +1 sets of the rows ``xs`` with their draw counts (rows
     weighted by ``weights``, see :func:`exact._row_patterns`)."""
     patterns, _, counts = exact._row_patterns(xs, cols, weights)
-    plus_sets = [
-        tuple(cols[i] for i in np.flatnonzero(row > 0)) for row in patterns
-    ]
-    return plus_sets, counts
+    return _plus_sets(patterns, cols), counts
 
 
 def _advanced_draws(
@@ -612,10 +735,9 @@ def _tilde_ratio(
 ) -> float:
     """Z_nu/Z_mu estimated from ``tprime`` draws of mu projected on ``big``;
     ``trunc`` maps a big-side +1 set to its truncated conditional."""
-    xs, mult = rt.sample_rows(mu, tprime, 1.0 / (1000.0 * tprime))
-    plus_sets, counts = _project_unique(xs, big, mult)
+    patterns, counts = rt.patterns(rt.sample_rows(mu, tprime, 1.0 / (1000.0 * tprime)), big)
     total = 0.0
-    for plus, cnt in zip(plus_sets, counts):
+    for plus, cnt in zip(_plus_sets(patterns, big), counts):
         tc = trunc(plus)
         q = _field_ratio(mu, nu, plus) * tc.z_nu / tc.z_mu
         total += cnt * q
@@ -652,12 +774,12 @@ def advanced_relative_tv(
         + sampler.batch_steps(tcount, 1.0 / (100.0 * tcount)),
         "the advanced estimator", MAX_CHAIN_STEPS, "chain steps",
     )
-    trunc = functools.cache(lambda plus: truncated_conditional(mu, nu, part, plus, t))
+    table = _small_sets(mu, nu, part, t)
+    trunc = functools.cache(lambda plus: _conditional(mu, part, table, plus))
     r_tilde = _tilde_ratio(mu, nu, part.big, trunc, rt, tcount)
-    xs, mult = rt.sample_rows(mu, tcount, 1.0 / (100.0 * tcount))
-    plus_sets, counts = _project_unique(xs, part.big, mult)
+    patterns, counts = rt.patterns(rt.sample_rows(mu, tcount, 1.0 / (100.0 * tcount)), part.big)
     total = 0.0
-    for plus, cnt in zip(plus_sets, counts):
+    for plus, cnt in zip(_plus_sets(patterns, part.big), counts):
         tc = trunc(plus)
         total += cnt * _f_hat_from(tc, _field_ratio(mu, nu, plus), r_tilde)
     d = parameter_distance(mu, nu)

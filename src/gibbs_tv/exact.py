@@ -4,8 +4,14 @@ Everything here is deterministic and works in log space; linear-space sums
 (TV distances, probability masses) use compensated summation via
 ``math.fsum``.  Hardcore supports are enumerated over independent sets
 (:meth:`Graph.independent_sets`) rather than all 2^n configurations, which
-raises the practical cap.  An enumeration of more than ``MAX_DRAWS`` rows
-is refused with TooLargeError before its rows are allocated.
+raises the practical cap; Ising supports are enumerated over the spins
+that neither a pin nor an infinite field fixes.  An enumeration of more
+than ``MAX_DRAWS`` rows is refused with TooLargeError before its rows are
+allocated, and its rows are written one free column at a time, so building
+them takes no more memory than they fill.  :func:`distribution` keeps each
+row's log weight next to its log-probability: an estimator call enumerates
+each model once and reads counts, draws and row weights from that one
+support.
 """
 
 from __future__ import annotations
@@ -68,13 +74,21 @@ def _independent_configs(graph: Graph, allow_plus: np.ndarray, pins: np.ndarray)
 
 
 def _all_configs(n: int, pins: np.ndarray) -> np.ndarray:
+    """Every +-1 row that agrees with ``pins`` (0 = free): row ``i`` sets
+    the ``j``-th free vertex to +1 exactly when bit ``j`` of ``i`` is set.
+
+    Each free column is written in place through a reshaped view, in which
+    bit ``j`` is the middle axis, so nothing beyond the rows is allocated.
+    """
     free = [v for v in range(n) if pins[v] == 0]
     k = len(free)
     check_budget(lambda: 2.0**k, "exact enumeration", MAX_DRAWS, "rows")
-    configs = np.tile(pins, (1 << k, 1)).astype(np.int8)
-    if k:
-        bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
-        configs[:, free] = (2 * bits - 1).astype(np.int8)
+    configs = np.empty((1 << k, n), dtype=np.int8)
+    configs[:] = pins
+    for j, v in enumerate(free):
+        col = configs.reshape(-1, 2, 1 << j, n)[..., v]
+        col[:, 0] = -1
+        col[:, 1] = 1
     return configs
 
 
@@ -83,19 +97,29 @@ def support_configs(
     pin: Optional[Pinning] = None,
     cap: int = EXACT_CAP,
 ) -> np.ndarray:
-    """Configurations that can carry positive weight (a superset for Ising)."""
+    """Configurations that can carry positive weight (a superset for Ising).
+
+    An Ising spin fixed by an infinite field is enumerated at that spin
+    only, which keeps the rows of positive weight in the same order; a pin
+    against it leaves no row.
+    """
     _check_cap(model.n, cap)
     pins = pin_array(pin, model.n)
     if model.kind == "hardcore":
         return _independent_configs(model.graph, model.forced == 0, pins)
-    return _all_configs(model.n, pins)
+    forced = model.forced
+    if np.any(pins * forced == -1):
+        return np.empty((0, model.n), dtype=np.int8)
+    return _all_configs(model.n, np.where(forced != 0, forced, pins))
 
 
 @dataclass(frozen=True)
 class ExactDistribution:
-    """Explicit support, log-probabilities, and log partition function."""
+    """Explicit support, its rows' log weights and log-probabilities, and
+    the log partition function."""
 
     configs: np.ndarray  # (k, n) int8, rows with positive weight
+    log_weights: np.ndarray  # unnormalised, log_probs + log_z
     log_probs: np.ndarray
     log_z: float
 
@@ -107,14 +131,14 @@ def distribution(
     total weight of extensions of ``pin`` (-inf if there are none)."""
     configs = support_configs(model, pin, cap)
     if len(configs) == 0:
-        return ExactDistribution(configs, np.empty(0), NEG_INF)
+        return ExactDistribution(configs, np.empty(0), np.empty(0), NEG_INF)
     logw = model.log_weight_batch(configs)
     finite = logw > NEG_INF
     configs, logw = configs[finite], logw[finite]
     if len(configs) == 0:
-        return ExactDistribution(configs, np.empty(0), NEG_INF)
+        return ExactDistribution(configs, logw, np.empty(0), NEG_INF)
     log_z = float(np.logaddexp.reduce(logw))
-    return ExactDistribution(configs, logw - log_z, log_z)
+    return ExactDistribution(configs, logw, logw - log_z, log_z)
 
 
 def exact_partition(model: SpinSystem, cap: int = EXACT_CAP) -> float:

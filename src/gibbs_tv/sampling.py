@@ -19,11 +19,14 @@ spectral regimes covered by the regime checks; elsewhere sampling is best
 effort.  A vertex is free unless a pin or the model fixes its spin: forced
 spins (``model.forced``) are pins, so no chain spends an update on them.
 For ``n_free <= exact_fallback_cap`` the sampler switches to enumeration
-plus inverse-CDF lookup, which is exact and leaves no mixing error.  The
-estimators read such a batch as its distinct support rows with their
-multiplicities (:meth:`Sampler.sample_rows`): the same draws from the same
-uniforms, counted by searching the support's CDF in the sorted uniforms,
-so a batch of T costs one sort of T doubles rather than T rows of n spins.
+plus inverse-CDF lookup, which is exact and leaves no mixing error.  Such
+a sampler keeps its enumerated support (:attr:`Sampler.support`, rows with
+their log weights), and the estimators read a batch as the support rows it
+drew with their multiplicities (:meth:`Sampler.sample_indices`): the same
+draws from the same uniforms, counted by searching the support's CDF in the
+sorted uniforms, so a batch of T costs one sort of T doubles rather than T
+rows of n spins.  An estimator call enumerates each model once, here or in
+its runtime, and reads counts, row weights and patterns from that support.
 
 Each chain first tries to stop early by coupling from the past (Propp and
 Wilson 1996).  A bounding chain (hardcore: states {-1, +1, unknown}, Huber
@@ -176,17 +179,20 @@ class Sampler:
         # chain never updates them and only ever reads finite field entries
         self.pins = effective_pins(model, pin)
         self.free = np.flatnonzero(self.pins == 0).astype(np.int64)
+        # the enumerated distribution (an exact.ExactDistribution), if any,
+        # and the (rows, CDF) pair that sample_batch draws from
+        self.support = None
         self._exact = None
         if self.cfg.enumerates(len(self.free)):
             from . import exact  # deferred: exact imports this module
 
-            dist = exact.distribution(model, pin, cap=max(model.n, 1))
-            probs = np.exp(dist.log_probs)
+            self.support = exact.distribution(model, pin, cap=max(model.n, 1))
+            probs = np.exp(self.support.log_probs)
             # the CDF Generator.choice builds from probs / probs.sum(), so
             # inverting it takes exactly the draws choice would
             cdf = (probs / probs.sum()).cumsum()
             cdf /= cdf[-1]
-            self._exact = (dist.configs, cdf)
+            self._exact = (self.support.configs, cdf)
         if model.kind == "hardcore":
             self._p_plus = model.lam / (1.0 + model.lam)
             self._weights = (self._p_plus,)
@@ -195,7 +201,7 @@ class Sampler:
 
     @property
     def is_exact(self) -> bool:
-        return self._exact is not None
+        return self.support is not None
 
     def steps_for(self, delta: float) -> int:
         """Chain length for target accuracy delta (see :func:`chain_steps`)."""
@@ -236,18 +242,33 @@ class Sampler:
 
         On chains this is ``(sample_batch(...), None)``, every draw its own
         row.  On enumeration ``rows`` are the support rows drawn at least
-        once, in support order, and ``mult`` their positive counts: the
-        counts of ``sample_batch``'s draws, taken from the same ``count``
-        uniforms of ``rng``, which ends in the same state.
+        once and ``mult`` their positive counts, as
+        :meth:`sample_indices` draws them.
         """
-        if self._exact is None:
+        if self.support is None:
             return self.sample_batch(count, delta, rng, threads), None
+        idx, mult = self.sample_indices(count, delta, rng, threads)
+        return self.support.configs[idx], mult
+
+    def sample_indices(
+        self, count: int, delta: float, rng: np.random.Generator, threads: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` independent samples of an enumerating sampler as
+        ``(idx, mult)``: row ``idx[i]`` of ``support.configs`` drawn
+        ``mult[i] > 0`` times, in support order.
+
+        These are the counts of ``sample_batch``'s draws, taken from the
+        same ``count`` uniforms of ``rng``, which ends in the same state.
+        A sampler that runs chains raises InputError.
+        """
+        if self.support is None:
+            raise InputError("only an enumerating sampler draws support rows")
         self._check_batch(count, delta, threads)
-        configs, cdf = self._exact
+        _, cdf = self._exact
         u = np.sort(rng.random(count))
         mult = np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
-        drawn = mult > 0
-        return configs[drawn], mult[drawn]
+        idx = np.flatnonzero(mult)
+        return idx, mult[idx]
 
     def sample_batch(
         self, count: int, delta: float, rng: np.random.Generator, threads: int = 1

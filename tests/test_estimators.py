@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gibbs_tv import estimators as estimators_mod
+from gibbs_tv import exact as exact_mod
 from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.counting import CounterConfig, approx_count, count_plan
 from gibbs_tv.errors import GateError, InfeasiblePinningError, InputError, TooLargeError
@@ -31,7 +32,7 @@ from gibbs_tv.estimators import (
 )
 from gibbs_tv.exact import distribution, exact_marginal_tv, exact_partition, exact_tv
 from gibbs_tv.graph import Graph, cycle_graph, path_graph, random_graph
-from gibbs_tv.models import HardcoreModel, IsingModel, marginal_lower_bound
+from gibbs_tv.models import HardcoreModel, IsingModel, contract_pinning, marginal_lower_bound
 from gibbs_tv.sampling import SamplerConfig
 from gibbs_tv.suites import ADVANCED_KAPPA, ADVANCED_THETA
 from oracles import (
@@ -840,7 +841,7 @@ def test_a_seed_reproduces_its_enumerated_result(exact_budget):
         ("hardcore", "basic"): ("basic", 30000, 0, 0.07323377829090032),
         ("hardcore", "dispatch"): ("additive-gated", 90000, 6, 0.07420483284242388),
         ("ising", "additive"): ("additive", 6400, 2, 0.11525573230974447),
-        ("ising", "marginal"): ("marginal-additive", 6400, 18, 0.005166835691872006),
+        ("ising", "marginal"): ("marginal-additive", 6400, 18, 0.0051668356918719936),
         ("ising", "basic"): ("basic", 30000, 0, 0.11711848245271282),
         ("ising", "dispatch"): ("additive-gated", 90000, 6, 0.11711419019980507),
         ("advanced", "advanced"): ("advanced", 48310, 0, 3.3604395661389535e-05),
@@ -889,3 +890,101 @@ def test_enumerated_estimators_build_no_draw_matrix(exact_budget, monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         rep = advanced_relative_tv(*advanced, 0.25, adv_budget(t=4), np.random.default_rng(1))
     assert rep.samples_used == 48310
+
+
+@pytest.mark.parametrize("kind", ["hardcore", "ising"])
+def test_enumerated_counts_read_the_support(exact_budget, kind, monkeypatch):
+    """With the counter enumerating, a count reads the model's support and
+    neither contracts nor plans: under every pinning of a 2- and a 3-vertex
+    subset of a 7-vertex model with one forced spin, it is log_const plus
+    the contracted model's exact log Z, -inf when the pinning is infeasible,
+    and one counter call."""
+    rng = np.random.default_rng(29)
+    monkeypatch.setattr(estimators_mod, "contract_pinning",
+                        lambda *a: pytest.fail("an enumerated count contracted"))
+    monkeypatch.setattr(estimators_mod, "count_plan",
+                        lambda *a: pytest.fail("an enumerated count was planned"))
+    for _ in range(3):
+        g = random_graph(7, 0.4, rng)
+        forced = int(rng.integers(7))
+        if kind == "hardcore":
+            lam = rng.uniform(0.2, 2.0, 7)
+            lam[forced] = 0.0
+            model = HardcoreModel(g, lam)
+        else:
+            h = rng.uniform(-1.0, 1.0, 7)
+            h[forced] = math.inf if rng.random() < 0.5 else -math.inf
+            model = IsingModel(g, {e: float(rng.uniform(-1.0, 1.0)) for e in g.edges}, h)
+        others = [v for v in range(7) if v != forced]
+        subsets = (sorted(int(v) for v in rng.choice(7, size=2, replace=False)),
+                   sorted([forced, *(int(v) for v in rng.choice(others, size=2, replace=False))]))
+        rt = _Runtime(exact_budget, np.random.default_rng(0))
+        counts = infeasible = 0
+        for sub in subsets:
+            for row in itertools.product((-1, 1), repeat=len(sub)):
+                pin = dict(zip(sub, row))
+                got = rt.count(model, 0.1, pin, 1e-3 if counts % 2 else None)
+                counts += 1
+                try:
+                    reduced, _, log_const = contract_pinning(model, pin)
+                except InfeasiblePinningError:
+                    infeasible += 1
+                    assert got == -math.inf, pin
+                    continue
+                want = log_const + exact_partition(reduced)
+                assert got == pytest.approx(want, rel=0, abs=1e-12), pin
+        assert infeasible > 0
+        assert rt.counter_calls == counts  # one call per count, as when it contracted
+
+
+def test_enumerated_estimators_enumerate_each_model_once(exact_budget, monkeypatch):
+    """With the sampler and the counter enumerating, one estimator call
+    enumerates each model at most once, and the advanced estimator lists the
+    small side's independent sets once, whatever the number of big-side
+    patterns (the sampler's own support enumeration aside)."""
+    supports, set_calls, inside = [], [], []
+    support_configs = exact_mod.support_configs
+    independent_sets = Graph.independent_sets
+
+    def counted_support(model, *args, **kwargs):
+        supports.append(model)
+        inside.append(model)
+        try:
+            return support_configs(model, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_sets(graph, vertices, max_size=None):
+        vertices = list(vertices)
+        if not inside:
+            set_calls.append(vertices)
+        return independent_sets(graph, vertices, max_size)
+
+    monkeypatch.setattr(exact_mod, "support_configs", counted_support)
+    monkeypatch.setattr(Graph, "independent_sets", counted_sets)
+    hardcore, ising, advanced = _enumerated_pairs()
+    params = MetaConditionParams(1.0, 2.0, True)
+    runs = []
+    for mu, nu in (hardcore, ising):
+        runs += [
+            (2, lambda: additive_tv(mu, nu, 0.1, exact_budget, np.random.default_rng(1))),
+            (2, lambda: marginal_additive_tv(mu, nu, [0, 2, 5], 0.1, exact_budget,
+                                             np.random.default_rng(1))),
+            (1, lambda: basic_relative_tv(mu, nu, 0.25, params,
+                                          replace(exact_budget, T_override=30000),
+                                          np.random.default_rng(1))),
+        ]
+    runs.append((1, lambda: advanced_relative_tv(*advanced, 0.25, adv_budget(t=4),
+                                                 np.random.default_rng(1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for limit, run in runs:
+            supports.clear()
+            set_calls.clear()
+            run()
+            assert len(supports) <= limit
+            assert len(set(map(id, supports))) == len(supports)
+    small = set(partition_big_small(*advanced, 0.25, adv_budget()).small)
+    assert len(set_calls) == 1 and set(set_calls[0]) <= small
+    big = partition_big_small(*advanced, 0.25, adv_budget()).big
+    assert len(big) >= 3  # several big-side patterns share that one listing

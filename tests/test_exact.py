@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,62 @@ def test_enumeration_past_max_draws_is_refused(monkeypatch):
     with pytest.raises(TooLargeError, match="more than 34 rows"):
         exact_tv(HardcoreModel(path_graph(8), np.ones(8)),
                  HardcoreModel(path_graph(8), np.full(8, 2.0)))
+
+
+def _bit_matrix_configs(n, pins):
+    """The rows _all_configs wrote from a (2^k, k) int64 bit matrix."""
+    free = [v for v in range(n) if pins[v] == 0]
+    k = len(free)
+    configs = np.tile(pins, (1 << k, 1)).astype(np.int8)
+    if k:
+        bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k)) & 1
+        configs[:, free] = (2 * bits - 1).astype(np.int8)
+    return configs
+
+
+def test_all_configs_writes_its_rows_in_place(rng):
+    """The rows are those of the bit-matrix formula at every k 0-10, pinned
+    or not, and building 2^18 rows peaks at no more than 3x their bytes."""
+    for n in range(11):
+        for pins in (np.zeros(n, dtype=np.int8),
+                     rng.choice(np.array([-1, 0, 0, 1], dtype=np.int8), n)):
+            rows = _all_configs(n, pins)
+            assert rows.dtype == np.int8 and np.array_equal(rows, _bit_matrix_configs(n, pins))
+    tracemalloc.start()
+    try:
+        rows = _all_configs(18, np.zeros(18, dtype=np.int8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1 << 18, 18) and peak <= 3 * rows.nbytes
+
+
+def test_ising_support_enumerates_free_spins_only(rng):
+    """A spin fixed by an infinite field is enumerated at that spin only:
+    the distribution is the one filtered from every +-1 row, with its rows
+    in the same order, and a pin against a forced spin leaves none."""
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        g = random_graph(n, 0.4, rng)
+        h = np.where(rng.random(n) < 0.3, rng.choice([-math.inf, math.inf], n),
+                     rng.uniform(-1.0, 1.0, n))
+        model = IsingModel(g, {e: float(rng.uniform(-1.0, 1.0)) for e in g.edges}, h)
+        pins = rng.choice(np.array([-1, 0, 0, 0, 1], dtype=np.int8), n)
+        pin = {v: int(pins[v]) for v in range(n) if pins[v]}
+        every = _all_configs(n, pins)
+        logw = model.log_weight_batch(every)
+        want = every[logw > -math.inf]
+        dist = distribution(model, pin)
+        assert np.array_equal(dist.configs, want)
+        free = np.sum((pins == 0) & (model.forced == 0))
+        clash = np.any(pins * model.forced == -1)
+        assert len(support_configs(model, pin)) == (0 if clash else 2**free)
+        if len(want):
+            assert dist.log_weights == pytest.approx(logw[logw > -math.inf], rel=1e-12)
+            assert dist.log_z == pytest.approx(float(np.logaddexp.reduce(dist.log_weights)))
+            assert np.allclose(dist.log_probs, dist.log_weights - dist.log_z)
+        else:
+            assert dist.log_z == -math.inf
 
 
 def test_conditional_partition():

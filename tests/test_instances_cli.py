@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gibbs_tv import sampling as sampling_mod
 from gibbs_tv.cli import build_parser, main
@@ -464,3 +467,68 @@ def test_cli_literal_constants_and_bad_subset(tmp_path, capsys):
     rc = main(["marginal-tv", pa, pb, "--subset", "zzz"])
     capsys.readouterr()
     assert rc == 2
+
+
+FUZZ_BASES = (
+    {"format": 1, "model": "hardcore", "vertices": ["a", "b", "c"],
+     "edges": [["a", "b"], ["b", "c"]], "lambda": {"a": 0.5, "b": 1.0, "c": 0.0}},
+    {"format": 1, "model": "ising", "vertices": ["a", "b", "c"],
+     "edges": [["a", "b"], ["b", "c"]], "J": [["a", "b", 0.3], ["b", "c", -0.2]],
+     "h": {"a": 0.1, "b": "inf", "c": -0.4}},
+)
+BIG_FLOAT = "<1e400>"  # written to the document as the bare number 1e400
+
+
+def _node_paths(doc, path=()):
+    """The path to every node of a JSON document, the root's included."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_scalars = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                     st.booleans(), st.none(), st.text(max_size=3))
+_FUZZ_VALUES = st.one_of(
+    st.recursive(_scalars, lambda c: st.lists(c, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), c, max_size=3), max_leaves=6)
+    .filter(lambda v: isinstance(v, (list, dict))),  # nested lists and maps
+    st.integers(min_value=10**308, max_value=10**400) | st.just(-10**400),  # huge integers
+    st.just(BIG_FLOAT), st.just(math.nan), st.booleans(),
+    st.text(min_size=1, max_size=4),  # an unknown (or, rarely, a known) label
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    base = draw(st.sampled_from(FUZZ_BASES))
+    path = draw(st.sampled_from(list(_node_paths(base))))
+    return _replaced(base, path, draw(_FUZZ_VALUES))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_documents())
+def test_cli_fuzzed_documents_exit_cleanly(tmp_path, capsys, doc):
+    """A valid document with one node replaced by nested lists and maps, a
+    huge integer, 1e400, NaN, a bool or an unknown label is checked and
+    compared exactly with exit code 0, 2, 3 or 4, and at most one line on
+    stderr."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(BIG_FLOAT), "1e400"))
+    for argv in (["check", str(path)], ["tv", str(path), str(path), "--mode", "exact"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv[0], code, err)
+        assert len(err.splitlines()) <= 1, err

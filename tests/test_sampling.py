@@ -499,6 +499,25 @@ def test_sample_rows_on_chains_is_sample_batch(kind):
     assert np.array_equal(rows, sampler.sample_batch(100, 0.1, np.random.default_rng(4)))
 
 
+@pytest.mark.parametrize("kind", ["hardcore", "ising"])
+def test_sample_indices_index_the_support(kind):
+    """An enumerating sampler keeps its distribution as ``support``, log
+    weights included, and ``sample_indices`` names the rows and counts that
+    ``sample_rows`` returns from a generator in the same state; a sampler
+    that runs chains has no support to index."""
+    model, pin = _small_model(kind, True)
+    sampler = Sampler(model, pin, SamplerConfig(exact_fallback_cap=20))
+    dist = distribution(model, pin)
+    assert np.array_equal(sampler.support.configs, dist.configs)
+    assert np.array_equal(sampler.support.log_weights, dist.log_weights)
+    idx, mult = sampler.sample_indices(5000, 0.1, np.random.default_rng(8))
+    rows, want = sampler.sample_rows(5000, 0.1, np.random.default_rng(8))
+    assert np.array_equal(sampler.support.configs[idx], rows) and np.array_equal(mult, want)
+    assert np.all(np.diff(idx) > 0) and mult.sum() == 5000
+    with pytest.raises(InputError, match="enumerating"):
+        Sampler(model, pin).sample_indices(10, 0.1, np.random.default_rng(0))
+
+
 def test_sample_rows_checks_like_sample_batch():
     """Both batch methods refuse the same requests, enumerated or not."""
     model, pin = _small_model("hardcore", False)
